@@ -145,7 +145,7 @@ def encode_batch(params: Dict[str, T.Tensor], token_ids: np.ndarray,
     att_bias = T.Tensor(bias_np[:, None, None, :], tape, requires_grad=False)
 
     h, nh, dh = config.hidden, config.n_heads, config.head_dim
-    inv_sqrt_dh = 1.0 / np.sqrt(dh)
+    inv_sqrt_dh = dh ** -0.5            # a Python float keeps float32 float32
 
     for i in range(config.n_blocks):
         p = f"encoder.layer.{i}."
@@ -205,22 +205,28 @@ def encode(params: ParamTree, tokens: Sequence[int], config: EncoderConfig) -> n
     return out.data[0]
 
 
+def pad_batch(token_lists: Sequence[Sequence[int]]) -> np.ndarray:
+    """Right-pad token sequences with PAD_ID into a (N, longest) id array."""
+    ids = np.full((len(token_lists), max(map(len, token_lists))), PAD_ID, dtype=np.int64)
+    for r, toks in enumerate(token_lists):
+        ids[r, :len(toks)] = toks
+    return ids
+
+
+def token_limit(max_len: int, config: EncoderConfig) -> int:
+    """Truncation length for text fed to a model with `config`."""
+    return min(max_len, config.max_positions)
+
+
 def encode_many(params: ParamTree, token_lists: Sequence[Sequence[int]],
                 config: EncoderConfig, batch_size: int = 256) -> np.ndarray:
     """Evaluation-mode batched encode with right-padding; returns (N, hidden)."""
     if not token_lists:
         return np.zeros((0, config.hidden), dtype=np.float32)
-    out = []
-    for start in range(0, len(token_lists), batch_size):
-        chunk = token_lists[start:start + batch_size]
-        L = max(len(t) for t in chunk)
-        ids = np.full((len(chunk), L), PAD_ID, dtype=np.int64)
-        for r, toks in enumerate(chunk):
-            ids[r, :len(toks)] = toks
-        tape = T.Tape()
-        leaves = wrap_params(tape, params)
-        out.append(encode_batch(leaves, ids, config).data)
-    return np.concatenate(out, axis=0)
+    return np.concatenate([
+        encode_batch(wrap_params(T.Tape(), params),
+                     pad_batch(token_lists[start:start + batch_size]), config).data
+        for start in range(0, len(token_lists), batch_size)], axis=0)
 
 
 def similarity(a: np.ndarray, b: np.ndarray, measure: str) -> float:

@@ -11,7 +11,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .encoder import DualEncoder, Vocab, encode_many
+from .encoder import DualEncoder, Vocab, encode_many, token_limit
 from .metrics import Z_CRITICAL, z_test
 
 LABELS = ("entailment", "neutral", "contradiction")
@@ -94,9 +94,6 @@ class PairGridReport:
     def cell_total(self) -> int:
         return self.n_per_label * self.n_per_label
 
-    def cell_pnd(self, contrast: str) -> np.ndarray:
-        return self.errors[contrast] / self.cell_total
-
     def averaged_pnd(self, contrast: str) -> float:
         """Mean cell error count over all K*K cells, as a fraction of the
         per-cell total."""
@@ -109,6 +106,7 @@ def grid_eval(model: DualEncoder, corpus: PairCorpus, measure: str,
     vs contrast pairs. sentence1 goes through the query encoder."""
     K = len(corpus.languages)
     n = corpus.n_per_label
+    max_len = token_limit(max_len, model.config)
 
     # each sentence is encoded once per (language, side)
     emb_q: Dict[Tuple[str, str], np.ndarray] = {}

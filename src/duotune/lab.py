@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .data import TripletSample
-from .encoder import DualEncoder, ParamTree, Vocab, encode_many
+from .encoder import DualEncoder, ParamTree, Vocab, encode_many, token_limit
 from .grid import GridComparison, PairCorpus, PairGridReport, grid_compare, grid_eval
 from .metrics import EvalReport, QueryJudgments, Z_CRITICAL, full_report, improvement, z_test
 from .optim import OptimizerSpec, SchedulerSpec
@@ -79,6 +79,7 @@ def diagnose_layers(before: ParamTree, after: ParamTree) -> LayerChangeReport:
 
 def judgments_from_triplets(model: DualEncoder, samples: Sequence[TripletSample],
                             vocab: Vocab, max_len: int = 64) -> List[QueryJudgments]:
+    max_len = token_limit(max_len, model.config)
     queries = encode_many(model.query_params,
                           [vocab.encode(s.query, max_len) for s in samples], model.config)
     out = []

@@ -10,14 +10,16 @@ Training runs at float32 by default; gradient checks use float64.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.special import erf
 
 LAYER_NORM_EPS = 1e-12
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats: under NumPy 2 a float64 scalar promotes float32 arrays.
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 class TensorError(ValueError):
@@ -225,11 +227,11 @@ def softmax(a: Tensor) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     x = a.data
     phi = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    out = (x * phi).astype(x.dtype)
+    out = x * phi
 
     def backward(g):
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-        _accum(a, g * (phi + x * pdf).astype(x.dtype))
+        _accum(a, g * (phi + x * pdf))
 
     return _make(out, (a,), backward)
 
@@ -347,11 +349,6 @@ def transpose(a: Tensor, axes) -> Tensor:
         _accum(a, g.transpose(inv))
 
     return _make(out, (a,), backward)
-
-
-def check_finite(x: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(x)):
-        raise TensorError(f"non-finite values in {what}")
 
 
 def grad_check(f: Callable[[dict], float], params: dict, eps: float = 1e-3):

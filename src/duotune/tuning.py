@@ -6,6 +6,11 @@ error count strictly decrease relative to the best accepted state so far.
 The run stops after `idle_epochs_to_stop` consecutive non-improvements and
 returns the checkpoint of the last accepted epoch (or the initial model if
 none was accepted).
+
+While no text-tower parameter is trainable (always in query-only mode),
+each distinct positive and negative is encoded once per `tune` call and
+steps and validation read those rows; in both-tuned mode the text tower is
+re-encoded every step and every validation pass.
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ import numpy as np
 
 from . import tensor as T
 from .data import TripletSample
-from .encoder import (DualEncoder, PAD_ID, Vocab, copy_tree, encode_batch,
-                      wrap_params)
+from .encoder import (DualEncoder, EncoderConfig, Vocab, encode_batch, encode_many,
+                      pad_batch, token_limit, wrap_params)
 from .freeze import FreezeSpec, parse_freeze_spec, trainable_names
 from .optim import (LossSpec, Optimizer, OptimizerSpec, SchedulerSpec,
                     scheduler_value, triplet_margin_loss, triplet_margin_loss_np)
@@ -114,29 +119,38 @@ def _tokenize_triplets(samples: Sequence[TripletSample], vocab: Vocab,
     return out
 
 
-def _pad_batch(seqs: Sequence[Sequence[int]]) -> np.ndarray:
-    L = max(len(s) for s in seqs)
-    ids = np.full((len(seqs), L), PAD_ID, dtype=np.int64)
-    for r, s in enumerate(seqs):
-        ids[r, :len(s)] = s
-    return ids
+TextTable = Dict[Tuple[int, ...], np.ndarray]
 
 
-def _encode_eval(tree, token_lists, config) -> np.ndarray:
-    tape = T.Tape()
-    leaves = wrap_params(tape, tree)
-    return encode_batch(leaves, _pad_batch(token_lists), config).data
+def _text_table(model: DualEncoder, token_triplets) -> TextTable:
+    """Token sequence -> text-tower row, for every distinct positive and
+    negative in `token_triplets`. Valid only while the text tower is frozen."""
+    seqs = list(dict.fromkeys(tuple(s) for t in token_triplets for s in t[1:]))
+    return dict(zip(seqs, encode_many(model.text_params, seqs, model.config)))
+
+
+def _text_rows(leaves: Dict[str, T.Tensor], seqs: Sequence[Sequence[int]],
+               config: EncoderConfig, table: Optional[TextTable]) -> T.Tensor:
+    """Text-tower embeddings of `seqs` on the tape of `leaves`: constant rows
+    of `table` when one is given, else a fresh encode through `leaves`."""
+    if table is None:
+        return encode_batch(leaves, pad_batch(seqs), config)
+    tape = next(iter(leaves.values())).tape
+    return T.Tensor(np.stack([table[tuple(s)] for s in seqs]), tape, requires_grad=False)
 
 
 def validate(model: DualEncoder, valid_tokens: Sequence[Tuple[list, list, list]],
-             loss_spec: LossSpec) -> Tuple[float, int]:
+             loss_spec: LossSpec, table: Optional[TextTable] = None) -> Tuple[float, int]:
     """(mean triplet loss, count of triplets where the positive is not
-    strictly closer than the negative to the anchor)."""
+    strictly closer than the negative to the anchor). Text rows come from
+    `table` when given (see `_text_rows`)."""
     if not valid_tokens:
         raise TuningError("validation set is empty")
-    anchors = _encode_eval(model.query_params, [t[0] for t in valid_tokens], model.config)
-    pos = _encode_eval(model.text_params, [t[1] for t in valid_tokens], model.config)
-    neg = _encode_eval(model.text_params, [t[2] for t in valid_tokens], model.config)
+    anchors = encode_many(model.query_params, [t[0] for t in valid_tokens], model.config)
+    texts = _text_rows(wrap_params(T.Tape(), model.text_params),
+                       [t[1] for t in valid_tokens] + [t[2] for t in valid_tokens],
+                       model.config, table).data
+    pos, neg = np.split(texts, 2)
     losses = triplet_margin_loss_np(anchors, pos, neg, loss_spec.margin)
     dp = np.linalg.norm(anchors - pos, axis=-1)
     dn = np.linalg.norm(anchors - neg, axis=-1)
@@ -147,7 +161,8 @@ def validate(model: DualEncoder, valid_tokens: Sequence[Tuple[list, list, list]]
 def validate_samples(model: DualEncoder, samples: Sequence[TripletSample],
                      vocab: Vocab, loss_spec: LossSpec = LossSpec(),
                      max_len: int = 64) -> Tuple[float, int]:
-    return validate(model, _tokenize_triplets(samples, vocab, max_len), loss_spec)
+    tokens = _tokenize_triplets(samples, vocab, token_limit(max_len, model.config))
+    return validate(model, tokens, loss_spec)
 
 
 def _epoch_index_stream(n_samples: int, needed: int, rng: T.Rng) -> np.ndarray:
@@ -176,11 +191,9 @@ def tune(model: DualEncoder, train: Sequence[TripletSample],
         raise TuningError("training set is empty")
 
     work = model.copy()
-    train_tok = _tokenize_triplets(train, vocab, cfg.max_seq_len)
-    valid_tok = _tokenize_triplets(valid, vocab, cfg.max_seq_len) if valid else []
-
-    if validate_fn is None:
-        validate_fn = lambda m: validate(m, valid_tok, cfg.loss)
+    max_len = token_limit(cfg.max_seq_len, model.config)
+    train_tok = _tokenize_triplets(train, vocab, max_len)
+    valid_tok = _tokenize_triplets(valid, vocab, max_len) if valid else []
 
     spec = parse_freeze_spec(cfg.freeze)
     q_train = trainable_names(spec, work.query_params.keys())
@@ -188,6 +201,11 @@ def tune(model: DualEncoder, train: Sequence[TripletSample],
     if cfg.mode == "both-tuned":
         trainable += [("text", n) for n in trainable_names(spec, work.text_params.keys())]
     flat_trainable = {f"{side}.{name}" for side, name in trainable}
+    text_frozen = not any(side == "text" for side, _ in trainable)
+    table = _text_table(work, train_tok + valid_tok) if text_frozen else None
+
+    if validate_fn is None:
+        validate_fn = lambda m: validate(m, valid_tok, cfg.loss, table)
 
     optimizer = Optimizer(cfg.optimizer)
     rng = T.Rng(cfg.seed).spawn(1)
@@ -206,9 +224,9 @@ def tune(model: DualEncoder, train: Sequence[TripletSample],
             tape = T.Tape()
             q_leaves = wrap_params(tape, work.query_params, flat_trainable, prefix="query.")
             t_leaves = wrap_params(tape, work.text_params, flat_trainable, prefix="text.")
-            anchors = encode_batch(q_leaves, _pad_batch([t[0] for t in batch]), work.config)
-            texts = encode_batch(t_leaves, _pad_batch([t[1] for t in batch] +
-                                                      [t[2] for t in batch]), work.config)
+            anchors = encode_batch(q_leaves, pad_batch([t[0] for t in batch]), work.config)
+            texts = _text_rows(t_leaves, [t[1] for t in batch] + [t[2] for t in batch],
+                               work.config, table)
             n = len(batch)
             pos = _slice(texts, 0, n)
             neg = _slice(texts, n, 2 * n)
