@@ -18,10 +18,9 @@ import numpy as np
 
 from . import data as D
 from . import lab
-from .encoder import (DualEncoder, EncoderConfig, Vocab, load_dual, save_dual)
+from .encoder import MEASURES, DualEncoder, EncoderConfig, Vocab, load_dual, save_dual
 from .freeze import parse_freeze_spec
-from .grid import CONTRAST_LABELS, PairCorpus, grid_compare, grid_eval
-from .metrics import Z_CRITICAL
+from .grid import CONTRAST_LABELS, PairCorpus, grid_eval
 from .optim import OptimizerSpec, parse_scheduler, scale_lr
 from .tensor import Rng
 from .tuning import TuneConfig, tune
@@ -56,7 +55,7 @@ def _write(path: Path, text: str) -> None:
 
 
 def _measures(arg: str):
-    return ("cosine", "euclidean") if arg == "both" else (arg,)
+    return MEASURES if arg == "both" else (arg,)
 
 
 # --- subcommand implementations ----------------------------------------------
@@ -420,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--measure", choices=["cosine", "euclidean", "both"],
+    p.add_argument("--measure", choices=[*MEASURES, "both"],
                    default="both")
     p.add_argument("--out")
     p.set_defaults(func=cmd_eval)
@@ -429,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--pairs", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--measure", choices=["cosine", "euclidean", "both"],
+    p.add_argument("--measure", choices=[*MEASURES, "both"],
                    default="both")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_grid_eval)

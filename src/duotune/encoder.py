@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from typing import Dict, Iterable, Optional, Sequence
 
 import numpy as np
@@ -23,6 +23,7 @@ UNK_ID = 1
 ATTENTION_MASK_BIAS = -1e9
 
 ParamTree = Dict[str, np.ndarray]
+MEASURES = ("cosine", "euclidean")
 
 
 class EncoderError(ValueError):
@@ -243,14 +244,19 @@ def similarity(a: np.ndarray, b: np.ndarray, measure: str) -> float:
     raise EncoderError(f"unknown measure {measure!r}")
 
 
-def similarity_matrix(A: np.ndarray, B: np.ndarray, measure: str) -> np.ndarray:
-    """Pairwise similarities for unit-norm rows; (len(A), len(B))."""
-    dots = A.astype(np.float64) @ B.astype(np.float64).T
+def measure_from_dots(dots: np.ndarray, measure: str) -> np.ndarray:
+    """Similarities under `measure` from dot products of unit-norm rows;
+    greater = more similar (euclidean is the negated distance)."""
     if measure == "cosine":
         return dots
     if measure == "euclidean":
         return -np.sqrt(np.maximum(2.0 - 2.0 * dots, 0.0))
     raise EncoderError(f"unknown measure {measure!r}")
+
+
+def similarity_matrix(A: np.ndarray, B: np.ndarray, measure: str) -> np.ndarray:
+    """Pairwise similarities for unit-norm rows; (len(A), len(B))."""
+    return measure_from_dots(A.astype(np.float64) @ B.astype(np.float64).T, measure)
 
 
 class Vocab:
@@ -338,21 +344,52 @@ def save_dual(model: DualEncoder, path) -> None:
 
 
 def load_dual(path) -> DualEncoder:
+    """Read a `save_dual` checkpoint. A wrong format tag or version, a tensor
+    count, name or shape other than the config's, a duplicated tensor or
+    truncated data raises EncoderError naming `path`."""
     with open(path, encoding="ascii") as fh:
         lines = fh.read().splitlines()
-    header = json.loads(lines[0])
-    if header.get("format") != CHECKPOINT_FORMAT:
+    if not lines:
+        raise EncoderError(f"{path}: empty checkpoint")
+    try:
+        header = json.loads(lines[0])
+    except ValueError as e:
+        raise EncoderError(f"{path}: unreadable checkpoint header") from e
+    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
         raise EncoderError(f"{path}: not a dual-encoder checkpoint")
-    dtype = np.dtype(header["dtype"])
-    config = EncoderConfig.from_dict(header["config"])
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise EncoderError(f"{path}: checkpoint version {header.get('version')!r}, "
+                           f"expected {CHECKPOINT_VERSION}")
+    try:
+        dtype = np.dtype(header["dtype"])
+        config = EncoderConfig.from_dict(header["config"])
+        mode = header["mode"]
+    except (KeyError, TypeError) as e:
+        raise EncoderError(f"{path}: bad checkpoint header field {e}") from e
+    shapes = param_shapes(config)
     trees: dict[str, ParamTree] = {"query": {}, "text": {}}
-    for line in lines[1:]:
-        name, shape_json, data64 = line.split("\t")
-        section, pname = name.split(".", 1)
-        arr = np.frombuffer(base64.b64decode(data64), dtype=dtype.newbyteorder("<"))
-        trees[section][pname] = arr.astype(dtype).reshape(json.loads(shape_json))
-    model = DualEncoder(config, trees["query"], trees["text"], header["mode"])
-    expected = set(param_shapes(config))
-    if set(model.query_params) != expected or set(model.text_params) != expected:
-        raise EncoderError(f"{path}: checkpoint names do not match its config")
-    return model
+    if len(lines) - 1 != len(trees) * len(shapes):
+        raise EncoderError(f"{path}: {len(lines) - 1} tensor lines, its config "
+                           f"needs {len(trees) * len(shapes)}")
+    for lineno, line in enumerate(lines[1:], start=2):
+        fields = line.split("\t")
+        section, _, pname = fields[0].partition(".")
+        where = f"{path}, line {lineno}"
+        if len(fields) != 3 or section not in trees or pname not in shapes:
+            raise EncoderError(f"{where}: not a tensor line of this config")
+        if pname in trees[section]:
+            raise EncoderError(f"{where}: duplicate tensor {fields[0]}")
+        try:
+            shape = tuple(json.loads(fields[1]))
+            arr = np.frombuffer(base64.b64decode(fields[2], validate=True),
+                                dtype=dtype.newbyteorder("<"))
+        except (ValueError, TypeError) as e:
+            raise EncoderError(f"{where}: unreadable tensor {fields[0]}") from e
+        if shape != shapes[pname]:
+            raise EncoderError(f"{where}: {fields[0]} has shape {list(shape)}, "
+                               f"its config says {list(shapes[pname])}")
+        if arr.size != np.prod(shape):
+            raise EncoderError(f"{where}: {fields[0]} holds {arr.size} values, "
+                               f"its shape needs {int(np.prod(shape))}")
+        trees[section][pname] = arr.astype(dtype).reshape(shape)
+    return DualEncoder(config, trees["query"], trees["text"], mode)

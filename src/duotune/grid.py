@@ -6,13 +6,13 @@ cell with per-cell significance verdicts against a baseline grid.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .encoder import DualEncoder, Vocab, encode_many, token_limit
-from .metrics import Z_CRITICAL, z_test
+from .encoder import DualEncoder, Vocab, encode_many, measure_from_dots, token_limit
+from .metrics import Z_CRITICAL, count_errors, z_test
 
 LABELS = ("entailment", "neutral", "contradiction")
 CONTRAST_LABELS = ("neutral", "contradiction")
@@ -123,22 +123,14 @@ def grid_eval(model: DualEncoder, corpus: PairCorpus, measure: str,
     def pair_sims(lbl: str, lq: str, lt: str) -> np.ndarray:
         a = emb_q[(lbl, lq)].astype(np.float64)
         b = emb_t[(lbl, lt)].astype(np.float64)
-        dots = np.sum(a * b, axis=1)
-        if measure == "cosine":
-            return dots
-        if measure == "euclidean":
-            return -np.sqrt(np.maximum(2.0 - 2.0 * dots, 0.0))
-        raise GridError(f"unknown measure {measure!r}")
+        return measure_from_dots(np.sum(a * b, axis=1), measure)
 
     errors = {c: np.zeros((K, K), dtype=np.int64) for c in CONTRAST_LABELS}
     for qi, lq in enumerate(corpus.languages):
         for ti, lt in enumerate(corpus.languages):
             ent = pair_sims("entailment", lq, lt)
             for contrast in CONTRAST_LABELS:
-                other = np.sort(pair_sims(contrast, lq, lt))
-                # error when sim(entailment) <= sim(contrast)
-                e = int(sum(n - np.searchsorted(other, s, side="left") for s in ent))
-                errors[contrast][qi, ti] = e
+                errors[contrast][qi, ti] = count_errors(ent, pair_sims(contrast, lq, lt))
     return PairGridReport(list(corpus.languages), measure, n, errors)
 
 

@@ -7,22 +7,20 @@ marker = significance); rendering is left to external tools.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .data import TripletSample
-from .encoder import DualEncoder, ParamTree, Vocab, encode_many, token_limit
+from .encoder import MEASURES, DualEncoder, ParamTree, Vocab, encode_many, token_limit
 from .grid import GridComparison, PairCorpus, PairGridReport, grid_compare, grid_eval
 from .metrics import EvalReport, QueryJudgments, Z_CRITICAL, full_report, improvement, z_test
 from .optim import OptimizerSpec, SchedulerSpec
 from .tuning import RunRecord, TuneConfig, tune
 
-MEASURES = ("cosine", "euclidean")
 SWEEP_AXES = ("learning_rate", "batch_size", "margin", "freeze", "scheduler",
               "optimizer", "weight_decay", "stopping")
 
@@ -82,14 +80,12 @@ def judgments_from_triplets(model: DualEncoder, samples: Sequence[TripletSample]
     max_len = token_limit(max_len, model.config)
     queries = encode_many(model.query_params,
                           [vocab.encode(s.query, max_len) for s in samples], model.config)
-    out = []
-    for i, s in enumerate(samples):
-        texts = s.positives + s.negatives
-        emb = encode_many(model.text_params,
-                          [vocab.encode(t, max_len) for t in texts], model.config)
-        labels = np.array([True] * len(s.positives) + [False] * len(s.negatives))
-        out.append(QueryJudgments(queries[i], emb, labels))
-    return out
+    texts = encode_many(model.text_params,
+                        [vocab.encode(t, max_len) for s in samples
+                         for t in s.positives + s.negatives], model.config)
+    sizes = [len(s.positives) + len(s.negatives) for s in samples]
+    return [QueryJudgments(q, emb, np.arange(len(emb)) < len(s.positives))
+            for s, q, emb in zip(samples, queries, np.split(texts, np.cumsum(sizes)[:-1]))]
 
 
 def evaluate_triplets(model: DualEncoder, samples: Sequence[TripletSample],

@@ -10,8 +10,8 @@ sqrt(2 * P * (1 - P) / N); the `variant` switch selects between the two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,6 +55,13 @@ class EvalReport:
                          f"{self.pnd:.10g}", opt(self.mrr), opt(self.map), opt(self.p_at_1)])
 
 
+def count_errors(pos_sims: np.ndarray, neg_sims: np.ndarray) -> int:
+    """Number of (positive, negative) pairs where the positive is not strictly
+    more similar than the negative; ties count as errors."""
+    neg = np.sort(neg_sims)
+    return int(len(pos_sims) * len(neg) - np.searchsorted(neg, pos_sims, side="left").sum())
+
+
 def pnd(judgments: Sequence[QueryJudgments], measure: str) -> EvalReport:
     """Positive-negative discrepancy, averaged over queries.
 
@@ -63,20 +70,15 @@ def pnd(judgments: Sequence[QueryJudgments], measure: str) -> EvalReport:
     """
     if not judgments:
         raise MetricsError("pnd needs at least one query")
-    errors = 0
-    total = 0
+    errors = total = 0
     per_query = []
     for q in judgments:
         sims = similarity_matrix(q.query[None, :], q.candidates, measure)[0]
-        pos = sims[q.is_positive]
-        neg = sims[~q.is_positive]
+        pos, neg = sims[q.is_positive], sims[~q.is_positive]
         if len(pos) == 0 or len(neg) == 0:
             raise MetricsError("pnd needs >=1 positive and >=1 negative per query")
-        neg_sorted = np.sort(neg)
-        # errors: pairs with sim(pos) <= sim(neg), i.e. negatives >= the positive
-        e = int(sum(len(neg) - np.searchsorted(neg_sorted, p, side="left") for p in pos))
+        e, n = count_errors(pos, neg), len(pos) * len(neg)
         errors += e
-        n = len(pos) * len(neg)
         total += n
         per_query.append(e / n)
     return EvalReport(measure, len(judgments), errors, total, float(np.mean(per_query)))

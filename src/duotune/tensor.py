@@ -11,7 +11,7 @@ Training runs at float32 by default; gradient checks use float64.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -347,6 +347,18 @@ def transpose(a: Tensor, axes) -> Tensor:
 
     def backward(g):
         _accum(a, g.transpose(inv))
+
+    return _make(out, (a,), backward)
+
+
+def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
+    """Rows start:stop along axis 0."""
+    out = a.data[start:stop]
+
+    def backward(g):
+        full = np.zeros_like(a.data)
+        full[start:stop] = g
+        _accum(a, full)
 
     return _make(out, (a,), backward)
 

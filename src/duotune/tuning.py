@@ -21,10 +21,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import tensor as T
+from .tensor import slice_rows as _slice
 from .data import TripletSample
 from .encoder import (DualEncoder, EncoderConfig, Vocab, encode_batch, encode_many,
                       pad_batch, token_limit, wrap_params)
-from .freeze import FreezeSpec, parse_freeze_spec, trainable_names
+from .freeze import parse_freeze_spec, trainable_names
 from .optim import (LossSpec, Optimizer, OptimizerSpec, SchedulerSpec,
                     scheduler_value, triplet_margin_loss, triplet_margin_loss_np)
 
@@ -268,15 +269,3 @@ def tune(model: DualEncoder, train: Sequence[TripletSample],
 
     record.total_steps = step
     return best, record
-
-
-def _slice(t: T.Tensor, start: int, stop: int) -> T.Tensor:
-    """Row slice along axis 0 with gradient routing."""
-    out = t.data[start:stop]
-
-    def backward(g):
-        full = np.zeros_like(t.data)
-        full[start:stop] = g
-        T._accum(t, full)
-
-    return T._make(out, (t,), backward)

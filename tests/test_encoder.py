@@ -1,6 +1,9 @@
 """Encoder contract: twin start, pooling, parameter naming, similarity
 measures, and the checkpoint container."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -131,6 +134,11 @@ def test_similarity_matrix_agrees_with_scalar_similarity():
                 assert M[i, j] == pytest.approx(similarity(A[i], B[j], measure), abs=1e-9)
 
 
+def test_similarity_matrix_rejects_an_unknown_measure():
+    with pytest.raises(EncoderError):
+        similarity_matrix(np.eye(2), np.eye(2), "manhattan")
+
+
 # --- batching and vocab ---------------------------------------------------------
 
 def test_encode_many_matches_single_encodes(tiny_model, tiny_config):
@@ -176,6 +184,70 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
     path.write_text('{"format": "something-else"}\n')
     with pytest.raises(EncoderError):
         load_dual(path)
+
+
+def _corrupt(model, tmp_path, edit):
+    """Save `model`, pass its lines through `edit`, write them back."""
+    path = tmp_path / "m.ckpt"
+    save_dual(model, path)
+    lines = edit(path.read_text().splitlines())
+    path.write_text("".join(line + "\n" for line in lines))
+    return path
+
+
+def _rejected(path):
+    with pytest.raises(EncoderError, match=re.escape(str(path))):
+        load_dual(path)
+
+
+def test_checkpoint_rejects_a_shape_other_than_the_config(tiny_model, tmp_path):
+    # same element count, so the data alone would reshape silently
+    def edit(lines):
+        name, shape, data = lines[1].split("\t")
+        rows, cols = json.loads(shape)
+        assert rows % 2 == 0
+        lines[1] = "\t".join([name, json.dumps([rows // 2, cols * 2]), data])
+        return lines
+    _rejected(_corrupt(tiny_model, tmp_path, edit))
+
+
+def test_checkpoint_rejects_an_unknown_version(tiny_model, tmp_path):
+    def edit(lines):
+        header = json.loads(lines[0])
+        header["version"] = 99
+        return [json.dumps(header, sort_keys=True)] + lines[1:]
+    _rejected(_corrupt(tiny_model, tmp_path, edit))
+
+
+@pytest.mark.parametrize("where", ["replacing", "appended"])
+def test_checkpoint_rejects_a_duplicated_tensor(tiny_model, tmp_path, where):
+    def edit(lines):
+        if where == "replacing":     # tensor count stays right
+            return lines[:3] + [lines[2]] + lines[4:]
+        return lines + [lines[2]]
+    _rejected(_corrupt(tiny_model, tmp_path, edit))
+
+
+@pytest.mark.parametrize("keep", [0.5, 0.9999])
+def test_checkpoint_rejects_a_truncated_file(tiny_model, tmp_path, keep):
+    path = tmp_path / "m.ckpt"
+    save_dual(tiny_model, path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:int(len(raw) * keep)])
+    _rejected(path)
+
+
+def test_checkpoint_rejects_an_empty_file(tmp_path):
+    path = tmp_path / "m.ckpt"
+    path.write_text("")
+    _rejected(path)
+
+
+def test_checkpoint_rejects_an_unknown_section(tiny_model, tmp_path):
+    def edit(lines):
+        lines[1] = "other." + lines[1].split(".", 1)[1]
+        return lines
+    _rejected(_corrupt(tiny_model, tmp_path, edit))
 
 
 def test_twin_init_trees_are_independent_copies(tiny_config):

@@ -3,17 +3,19 @@
 import numpy as np
 import pytest
 
+from duotune import lab
 from duotune import tensor as T
 from duotune.data import TripletSample
-from duotune.encoder import DualEncoder, EncoderConfig, Vocab, copy_tree, init_params
+from duotune.encoder import (DualEncoder, EncoderConfig, Vocab, copy_tree, encode_many,
+                             init_params)
 from duotune.grid import PairCorpus
 from duotune.lab import (LabError, SweepSpec, apply_axis_value, diagnose_layers,
                          eval_csv, evaluate_triplets, file_digest,
-                         grid_matrix_csv, manifest_json, plot_data, run_sweep,
-                         sweep_csv, SWEEP_CSV_HEADER)
+                         grid_matrix_csv, judgments_from_triplets, manifest_json,
+                         plot_data, run_sweep, sweep_csv, SWEEP_CSV_HEADER)
 from duotune.optim import OptimizerSpec, SchedulerSpec
 from duotune.tuning import TuneConfig
-from tests.test_tuning import CFG, VOCAB, topic_triplets
+from tests.test_tuning import CFG, VOCAB, topic_triplets, words
 
 
 # --- diagnostics ----------------------------------------------------------------
@@ -164,6 +166,39 @@ def test_grid_matrix_csv_has_a_cell_per_language_pair():
     lines = grid_matrix_csv(report, "neutral").splitlines()
     assert len(lines) == 4  # header + 3 language rows
     assert all(len(l.split(",")) == 4 for l in lines)
+
+
+def uneven_samples():
+    """Positive/negative counts 1/3, 2/1, 3/2, with texts of differing lengths."""
+    rng = np.random.default_rng(5)
+    text = lambda: words(rng.integers(0, 30, size=int(rng.integers(2, 9))))
+    return [TripletSample(text(), [text() for _ in range(p)], [text() for _ in range(n)])
+            for p, n in ((1, 3), (2, 1), (3, 2))]
+
+
+def test_judgments_match_per_sample_encodes():
+    model = DualEncoder.twin_init(CFG, T.Rng(3))
+    samples = uneven_samples()
+    judgments = judgments_from_triplets(model, samples, VOCAB)
+    assert len(judgments) == len(samples)
+    for s, j in zip(samples, judgments):
+        texts = s.positives + s.negatives
+        reference = encode_many(model.text_params, [VOCAB.encode(t) for t in texts], CFG)
+        assert j.candidates.shape == reference.shape
+        assert np.max(np.abs(j.candidates - reference)) <= 1e-6
+        assert j.is_positive.tolist() == [True] * len(s.positives) + [False] * len(s.negatives)
+
+
+def test_judgments_encode_once_per_tower(monkeypatch):
+    calls = []
+
+    def counting(params, token_lists, config):
+        calls.append(len(token_lists))
+        return encode_many(params, token_lists, config)
+
+    monkeypatch.setattr(lab, "encode_many", counting)
+    judgments_from_triplets(DualEncoder.twin_init(CFG, T.Rng(3)), uneven_samples(), VOCAB)
+    assert calls == [3, 12]
 
 
 def test_eval_csv_rows():

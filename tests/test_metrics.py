@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from duotune.encoder import similarity
 from duotune.metrics import (EvalReport, MetricsError, QueryJudgments,
-                             full_report, improvement, pnd, rank_metrics,
-                             z_test)
+                             count_errors, full_report, improvement, pnd,
+                             rank_metrics, z_test)
 from tests.conftest import random_unit
 
 
@@ -89,6 +89,15 @@ def test_pnd_matches_brute_force_double_loop(measure):
     assert rep.errors == errors
     assert rep.total == total
     assert rep.pnd == pytest.approx(averaged, abs=1e-12)
+
+
+# small integer values, so positives and negatives often tie
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-3, 3), max_size=8), st.lists(st.integers(-3, 3), max_size=8))
+def test_count_errors_matches_double_loop(pos, neg):
+    expected = sum(1 for p in pos for n in neg if p <= n)
+    assert count_errors(np.array(pos, dtype=np.float64),
+                        np.array(neg, dtype=np.float64)) == expected
 
 
 def test_pnd_invariant_under_monotone_similarity_transform():

@@ -90,6 +90,8 @@ UNARY_OPS = {
     "relu_shifted": lambda t: T.relu(T.add(t, T.constant(np.full(t.shape, 0.1), t))),
     "reshape": lambda t: T.reshape(t, (t.data.size,)),
     "transpose": lambda t: T.transpose(t, (1, 0)),
+    "slice_rows": lambda t: T.mul(T.slice_rows(t, 1, 3),
+                                  T.constant(np.arange(1, 9, dtype=np.float64).reshape(2, 4), t)),
 }
 
 
