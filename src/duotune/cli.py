@@ -19,7 +19,6 @@ import numpy as np
 from . import data as D
 from . import lab
 from .encoder import MEASURES, DualEncoder, EncoderConfig, Vocab, load_dual, save_dual
-from .freeze import parse_freeze_spec
 from .grid import CONTRAST_LABELS, PairCorpus, grid_eval
 from .optim import OptimizerSpec, parse_scheduler, scale_lr
 from .tensor import Rng
@@ -131,14 +130,19 @@ def cmd_make_triplets(args) -> int:
     return 0
 
 
-def _tune_config_from_args(args) -> TuneConfig:
-    base = {}
-    if args.config:
-        base = _load_config_file(args.config).get("tune", {})
+def _picker(args):
+    """pick(flag, key, default): the flag if given, else the [tune] section
+    of the --config file, else the default."""
+    base = _load_config_file(args.config).get("tune", {}) if args.config else {}
 
     def pick(flag, key, default):
         return flag if flag is not None else base.get(key, default)
 
+    return pick
+
+
+def _tune_config_from_args(args) -> TuneConfig:
+    pick = _picker(args)
     lr = pick(args.lr, "lr", 5e-8)
     batch_size = pick(args.batch_size, "batch_size", 14)
     rule = pick(args.scaling_rule, "scaling_rule", "none")
@@ -174,7 +178,6 @@ def _run_tune(model_path, train_path, valid_path, vocab_path, cfg: TuneConfig,
     vocab = Vocab.load(vocab_path)
     train = D.read_triplets(train_path)
     valid = D.read_triplets(valid_path)
-    parse_freeze_spec(cfg.freeze)  # fail fast on bad specs
     best, record = tune(model, train, valid, cfg, vocab)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -250,7 +253,25 @@ def cmd_grid_eval(args) -> int:
     return 0
 
 
+def _sweep_values(args, base: TuneConfig) -> list:
+    """The --values of the swept axis, built as the matching tune flag would
+    be. Freeze specs contain commas, so that axis separates values with ';'."""
+    raw = [v.strip() for v in args.values.split(";" if args.axis == "freeze" else ",")]
+    if args.axis in ("learning_rate", "margin", "weight_decay"):
+        return [float(v) for v in raw]
+    if args.axis in ("batch_size", "stopping"):
+        return [int(float(v)) for v in raw]
+    if args.axis == "optimizer":
+        return [dataclasses.replace(base.optimizer, kind=v) for v in raw]
+    if args.axis == "scheduler":
+        steps = _picker(args)(args.scheduler_steps, "scheduler_steps", 0)
+        return [parse_scheduler(v, base.optimizer.lr, steps) for v in raw]
+    return raw
+
+
 def cmd_sweep(args) -> int:
+    base = _tune_config_from_args(args)
+    values = _sweep_values(args, base)
     model = load_dual(args.model)
     vocab = Vocab.load(args.vocab)
     train = D.read_triplets(args.train)
@@ -261,11 +282,6 @@ def cmd_sweep(args) -> int:
         eval_sets[name] = D.read_triplets(path)
     if not eval_sets:
         raise SystemExit("sweep needs at least one --eval name=path")
-    base = _tune_config_from_args(args)
-    values = [float(v) if args.axis in ("learning_rate", "margin", "weight_decay")
-              else v for v in args.values.split(",")]
-    if args.axis in ("batch_size", "stopping"):
-        values = [int(float(v)) for v in values]
     grid_corpus = PairCorpus.load(args.pairs) if args.pairs else None
     spec = lab.SweepSpec(axis=args.axis, values=values, base=base,
                          eval_sets=eval_sets, grid_corpus=grid_corpus,
@@ -276,14 +292,11 @@ def cmd_sweep(args) -> int:
     _write(out / "sweep.csv", lab.sweep_csv(report))
     _write(out / "plot_data.csv", lab.plot_data(report))
     if grid_corpus is not None:
-        lines = ["value,measure,contrast,improved,worsened"]
-        for pt in report.points:
-            for m, cmp in (pt.grid or {}).items():
-                for contrast in CONTRAST_LABELS:
-                    lines.append(",".join([pt.value, m, contrast,
-                                           str(cmp.improved[contrast]),
-                                           str(cmp.worsened[contrast])]))
-        _write(out / "grid_counts.csv", "\n".join(lines) + "\n")
+        rows = [[pt.value, m, contrast, cmp.improved[contrast], cmp.worsened[contrast]]
+                for pt in report.points for m, cmp in (pt.grid or {}).items()
+                for contrast in CONTRAST_LABELS]
+        _write(out / "grid_counts.csv",
+               lab.csv_text(["value", "measure", "contrast", "improved", "worsened"], rows))
     print(f"sweep over {args.axis} written to {out}")
     return 0
 
@@ -439,7 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--valid", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--axis", choices=list(lab.SWEEP_AXES), required=True)
-    p.add_argument("--values", required=True, help="comma-separated")
+    p.add_argument("--values", required=True,
+                   help="comma-separated; ';'-separated for --axis freeze")
     p.add_argument("--eval", action="append", help="name=path, repeatable")
     p.add_argument("--pairs", help="optional grid corpus")
     p.add_argument("--ztest-variant", choices=["paper", "textbook"],

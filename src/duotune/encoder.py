@@ -190,12 +190,10 @@ def encode_batch(params: Dict[str, T.Tensor], token_ids: np.ndarray,
 
 
 def wrap_params(tape: T.Tape, tree: ParamTree,
-                trainable: Optional[Iterable[str]] = None,
-                prefix: str = "") -> Dict[str, T.Tensor]:
+                trainable: Iterable[str] = ()) -> Dict[str, T.Tensor]:
     """Wrap raw arrays into tape leaves; only `trainable` names get gradients."""
-    train = set(trainable) if trainable is not None else set()
-    return {name: tape.leaf(arr, param=(prefix + name) in train or name in train)
-            for name, arr in tree.items()}
+    train = set(trainable)
+    return {name: tape.leaf(arr, param=name in train) for name, arr in tree.items()}
 
 
 def encode(params: ParamTree, tokens: Sequence[int], config: EncoderConfig) -> np.ndarray:

@@ -13,7 +13,10 @@ Spec strings are comma-separated tokens:
     suffix:{name}          encoder.layer.{k}.{name} for every block k
 
 `B{i}a` freezes the whole attention sub-block including its output
-LayerNorm. Freezing is applied by excluding names from the optimizer's
+LayerNorm. Each token stands for name patterns (regexes anchored at the start
+of a parameter name, one per block of a range); a spec freezes the names they
+match, and every pattern must match some name, so an out-of-range block or a
+suffix no block has is an error. Frozen names are left out of the optimizer's
 trainable set, so frozen entries stay bit-identical.
 """
 
@@ -21,24 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Set, Tuple
-
-EMB_BASE_NAMES = (
-    "embeddings.word_embeddings.weight",
-    "embeddings.position_embeddings.weight",
-    "embeddings.token_type_embeddings.weight",
-)
-EMB_LN_NAMES = ("embeddings.LayerNorm.weight", "embeddings.LayerNorm.bias")
-
-ATTENTION_SUFFIXES = (
-    "attention.self.query.weight", "attention.self.query.bias",
-    "attention.self.key.weight", "attention.self.key.bias",
-    "attention.self.value.weight", "attention.self.value.bias",
-    "attention.output.dense.weight", "attention.output.dense.bias",
-    "attention.output.LayerNorm.weight", "attention.output.LayerNorm.bias",
-)
-INTERMEDIATE_SUFFIXES = ("intermediate.dense.weight", "intermediate.dense.bias")
-OUTPUT_DENSE_SUFFIXES = ("output.dense.weight", "output.dense.bias")
+from typing import Iterable, List, Sequence, Set, Tuple
 
 
 class FreezeSpecError(ValueError):
@@ -47,26 +33,8 @@ class FreezeSpecError(ValueError):
 
 @dataclass(frozen=True)
 class FreezeToken:
-    kind: str                      # none | emb_base | emb | block | block_range | block_parts | suffix
-    i: int = -1
-    j: int = -1
-    parts: Tuple[str, ...] = ()    # subset of ("a", "i", "od")
-    suffix: str = ""
-
-    def canonical(self) -> str:
-        if self.kind == "none":
-            return "-"
-        if self.kind == "emb_base":
-            return "emb.base"
-        if self.kind == "emb":
-            return "emb"
-        if self.kind == "block":
-            return f"B{self.i}"
-        if self.kind == "block_range":
-            return f"B{self.i}-{self.j}"
-        if self.kind == "block_parts":
-            return f"B{self.i}" + ",".join(self.parts)
-        return f"suffix:{self.suffix}"
+    text: str                       # canonical form
+    patterns: Tuple[str, ...]       # regexes matched at the start of a name
 
 
 @dataclass(frozen=True)
@@ -74,128 +42,88 @@ class FreezeSpec:
     tokens: Tuple[FreezeToken, ...]
 
     def canonical(self) -> str:
-        if not self.tokens:
-            return "-"
-        return ", ".join(t.canonical() for t in self.tokens)
+        return ", ".join(t.text for t in self.tokens) or "-"
 
     def __str__(self):
         return self.canonical()
 
 
+_NAMED = {
+    "-": (),
+    "emb.base": (r"embeddings\.\w+_embeddings\.",),
+    "emb": (r"embeddings\.",),
+}
+_PARTS = {"a": r"attention\.", "i": r"intermediate\.", "od": r"output\.dense\."}
 _BLOCK_RE = re.compile(r"^B(\d+)(?:-(\d+))?$")
 _BLOCK_PART_RE = re.compile(r"^B(\d+)a$")
 
 
+def _block(i: int) -> str:
+    return rf"encoder\.layer\.{i}\."
+
+
+def _parts_token(i: int, parts: Sequence[str]) -> FreezeToken:
+    return FreezeToken(f"B{i}" + ",".join(parts), tuple(_block(i) + _PARTS[p] for p in parts))
+
+
+def _token(piece: str) -> FreezeToken:
+    if piece in _NAMED:
+        return FreezeToken(piece, _NAMED[piece])
+    if piece.startswith("suffix:"):
+        suffix = piece[len("suffix:"):]
+        if not suffix:
+            raise FreezeSpecError("empty suffix in freeze spec")
+        return FreezeToken(piece, (r"encoder\.layer\.\d+\." + re.escape(suffix) + "$",))
+    m = _BLOCK_RE.match(piece)
+    if not m:
+        raise FreezeSpecError(f"unknown freeze token {piece!r}")
+    i = int(m.group(1))
+    if m.group(2) is None:
+        return FreezeToken(f"B{i}", (_block(i),))
+    j = int(m.group(2))
+    if j < i:
+        raise FreezeSpecError(f"descending block range in {piece!r}")
+    return FreezeToken(f"B{i}-{j}", tuple(_block(k) for k in range(i, j + 1)))
+
+
 def parse_freeze_spec(text: str) -> FreezeSpec:
-    pieces = [p.strip() for p in text.split(",")]
     tokens: List[FreezeToken] = []
-    for piece in pieces:
+    block, parts = -1, []           # block and parts of a trailing B{i}a[,i[,od]]
+    for piece in (p.strip() for p in text.split(",")):
         if piece == "":
             raise FreezeSpecError(f"empty token in freeze spec {text!r}")
-        # continuation parts of a B{i}a,i,od token
-        if piece in ("i", "od") and tokens and tokens[-1].kind == "block_parts":
-            prev = tokens[-1]
-            if piece in prev.parts:
+        if piece in ("i", "od") and parts:
+            if piece in parts:
                 raise FreezeSpecError(f"duplicate part {piece!r} in {text!r}")
-            if piece == "od" and "i" not in prev.parts:
+            if piece == "od" and "i" not in parts:
                 raise FreezeSpecError(f"'od' requires 'i' first in {text!r}")
-            tokens[-1] = FreezeToken("block_parts", i=prev.i, parts=prev.parts + (piece,))
-            continue
-        if piece == "-":
-            tokens.append(FreezeToken("none"))
-            continue
-        if piece == "emb.base":
-            tokens.append(FreezeToken("emb_base"))
-            continue
-        if piece == "emb":
-            tokens.append(FreezeToken("emb"))
-            continue
-        if piece.startswith("suffix:"):
-            suffix = piece[len("suffix:"):]
-            if not suffix:
-                raise FreezeSpecError("empty suffix in freeze spec")
-            tokens.append(FreezeToken("suffix", suffix=suffix))
+            parts.append(piece)
+            tokens[-1] = _parts_token(block, parts)
             continue
         m = _BLOCK_PART_RE.match(piece)
         if m:
-            tokens.append(FreezeToken("block_parts", i=int(m.group(1)), parts=("a",)))
+            block, parts = int(m.group(1)), ["a"]
+            tokens.append(_parts_token(block, parts))
             continue
-        m = _BLOCK_RE.match(piece)
-        if m:
-            i = int(m.group(1))
-            if m.group(2) is None:
-                tokens.append(FreezeToken("block", i=i))
-            else:
-                j = int(m.group(2))
-                if j < i:
-                    raise FreezeSpecError(f"descending block range in {piece!r}")
-                tokens.append(FreezeToken("block_range", i=i, j=j))
-            continue
-        raise FreezeSpecError(f"unknown freeze token {piece!r}")
-    if any(t.kind == "none" for t in tokens) and len(tokens) > 1:
+        parts = []
+        tokens.append(_token(piece))
+    if len(tokens) > 1 and any(t.text == "-" for t in tokens):
         raise FreezeSpecError("'-' cannot be combined with other tokens")
     return FreezeSpec(tuple(tokens))
 
 
-def _block_names(names: Iterable[str], i: int) -> List[str]:
-    prefix = f"encoder.layer.{i}."
-    return [n for n in names if n.startswith(prefix)]
-
-
-def _n_blocks(names: Iterable[str]) -> int:
-    pat = re.compile(r"^encoder\.layer\.(\d+)\.")
-    idx = {int(m.group(1)) for n in names if (m := pat.match(n))}
-    return max(idx) + 1 if idx else 0
-
-
 def resolve(spec: FreezeSpec, param_names: Iterable[str]) -> Set[str]:
-    """Resolve a spec to the frozen name set against an actual parameter tree."""
+    """The frozen name set: every name that one of the spec's patterns
+    matches. A pattern that matches no name raises FreezeSpecError."""
     names = list(param_names)
-    name_set = set(names)
-    n_blocks = _n_blocks(names)
     frozen: Set[str] = set()
     for tok in spec.tokens:
-        if tok.kind == "none":
-            continue
-        if tok.kind in ("emb_base", "emb"):
-            frozen.update(EMB_BASE_NAMES)
-            if tok.kind == "emb":
-                frozen.update(EMB_LN_NAMES)
-            continue
-        if tok.kind == "block":
-            if tok.i >= n_blocks:
-                raise FreezeSpecError(f"block index {tok.i} out of range (n_blocks={n_blocks})")
-            frozen.update(_block_names(names, tok.i))
-            continue
-        if tok.kind == "block_range":
-            if tok.j >= n_blocks:
-                raise FreezeSpecError(f"block index {tok.j} out of range (n_blocks={n_blocks})")
-            for i in range(tok.i, tok.j + 1):
-                frozen.update(_block_names(names, i))
-            continue
-        if tok.kind == "block_parts":
-            if tok.i >= n_blocks:
-                raise FreezeSpecError(f"block index {tok.i} out of range (n_blocks={n_blocks})")
-            prefix = f"encoder.layer.{tok.i}."
-            suffixes: List[str] = []
-            if "a" in tok.parts:
-                suffixes += ATTENTION_SUFFIXES
-            if "i" in tok.parts:
-                suffixes += INTERMEDIATE_SUFFIXES
-            if "od" in tok.parts:
-                suffixes += OUTPUT_DENSE_SUFFIXES
-            frozen.update(prefix + s for s in suffixes)
-            continue
-        if tok.kind == "suffix":
-            matched = [f"encoder.layer.{i}.{tok.suffix}" for i in range(n_blocks)
-                       if f"encoder.layer.{i}.{tok.suffix}" in name_set]
+        for pattern in tok.patterns:
+            matched = [n for n in names if re.match(pattern, n)]
             if not matched:
-                raise FreezeSpecError(f"suffix {tok.suffix!r} matches no parameter")
+                raise FreezeSpecError(f"{tok.text!r} freezes nothing: no parameter "
+                                      f"name matches {pattern}")
             frozen.update(matched)
-            continue
-    missing = frozen - name_set
-    if missing:
-        raise FreezeSpecError(f"frozen names not present in tree: {sorted(missing)[:3]}")
     return frozen
 
 

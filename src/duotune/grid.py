@@ -12,7 +12,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .encoder import DualEncoder, Vocab, encode_many, measure_from_dots, token_limit
-from .metrics import Z_CRITICAL, count_errors, z_test
+from .metrics import count_errors, z_test
 
 LABELS = ("entailment", "neutral", "contradiction")
 CONTRAST_LABELS = ("neutral", "contradiction")
@@ -144,7 +144,7 @@ class GridComparison:
 
 
 def grid_compare(base: PairGridReport, tuned: PairGridReport,
-                 z_critical: float = Z_CRITICAL, variant: str = "paper") -> GridComparison:
+                 variant: str = "paper") -> GridComparison:
     """Per-cell Z-test on (base errors, tuned errors); a cell improves when
     the change is significant and errors went down."""
     if base.languages != tuned.languages or base.measure != tuned.measure \
@@ -161,7 +161,7 @@ def grid_compare(base: PairGridReport, tuned: PairGridReport,
             for ti in range(K):
                 n0 = int(base.errors[contrast][qi, ti])
                 n1 = int(tuned.errors[contrast][qi, ti])
-                zt = z_test(n0, n1, total, z_critical, variant)
+                zt = z_test(n0, n1, total, variant)
                 if zt.significant and n1 < n0:
                     improved[contrast] += 1
                     verdicts[contrast][qi, ti] = 1

@@ -7,17 +7,19 @@ marker = significance); rendering is left to external tools.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .data import TripletSample
 from .encoder import MEASURES, DualEncoder, ParamTree, Vocab, encode_many, token_limit
 from .grid import GridComparison, PairCorpus, PairGridReport, grid_compare, grid_eval
-from .metrics import EvalReport, QueryJudgments, Z_CRITICAL, full_report, improvement, z_test
+from .metrics import EvalReport, QueryJudgments, full_report, improvement, z_test
 from .optim import OptimizerSpec, SchedulerSpec
 from .tuning import RunRecord, TuneConfig, tune
 
@@ -104,7 +106,6 @@ class SweepSpec:
     base: TuneConfig
     eval_sets: Dict[str, List[TripletSample]]   # dataset name -> eval triplets
     grid_corpus: Optional[PairCorpus] = None
-    z_critical: float = Z_CRITICAL
     ztest_variant: str = "paper"
     measures: Tuple[str, ...] = MEASURES
 
@@ -192,7 +193,7 @@ def run_sweep(model: DualEncoder, train: Sequence[TripletSample],
                 imp = (improvement(before_rep.pnd, after_rep.pnd, -1)
                        if before_rep.pnd != 0 else 0.0)
                 zt = z_test(before_rep.errors, after_rep.errors, before_rep.total,
-                            spec.z_critical, spec.ztest_variant)
+                            spec.ztest_variant)
                 rows.append(SweepRow(str(value), name, m, before_rep.pnd, after_rep.pnd,
                                      100.0 * imp, before_rep.errors, after_rep.errors,
                                      before_rep.total, zt.z, zt.significant))
@@ -201,8 +202,7 @@ def run_sweep(model: DualEncoder, train: Sequence[TripletSample],
             grid_cmp = {}
             for m in spec.measures:
                 tuned_grid = grid_eval(tuned, spec.grid_corpus, m, vocab)
-                grid_cmp[m] = grid_compare(base_grids[m], tuned_grid,
-                                           spec.z_critical, spec.ztest_variant)
+                grid_cmp[m] = grid_compare(base_grids[m], tuned_grid, spec.ztest_variant)
         points.append(SweepPointResult(str(value), rows, grid_cmp, record))
     return SweepReport(spec.axis, points)
 
@@ -213,27 +213,28 @@ SWEEP_CSV_HEADER = ("value,dataset,measure,pnd_before,pnd_after,improvement_pct,
                     "errors_before,errors_after,total,z,significant")
 
 
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """CSV text with newline line ends; a field holding a comma (a freeze spec) is quoted."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def sweep_csv(report: SweepReport) -> str:
-    lines = [SWEEP_CSV_HEADER]
-    for pt in report.points:
-        for r in pt.rows:
-            z = "" if r.z is None else f"{r.z:.12g}"
-            lines.append(",".join([r.value, r.dataset, r.measure,
-                                   f"{r.pnd_before:.12g}", f"{r.pnd_after:.12g}",
-                                   f"{r.improvement_pct:.12g}", str(r.errors_before),
-                                   str(r.errors_after), str(r.total), z,
-                                   str(int(r.significant))]))
-    return "\n".join(lines) + "\n"
+    return csv_text(SWEEP_CSV_HEADER.split(","), (
+        [r.value, r.dataset, r.measure, f"{r.pnd_before:.12g}", f"{r.pnd_after:.12g}",
+         f"{r.improvement_pct:.12g}", r.errors_before, r.errors_after, r.total,
+         "" if r.z is None else f"{r.z:.12g}", int(r.significant)]
+        for pt in report.points for r in pt.rows))
 
 
 def plot_data(report: SweepReport) -> str:
     """x = swept value, y = improvement %, marker = 1 if significant."""
-    lines = ["value,dataset,measure,improvement_pct,significant"]
-    for pt in report.points:
-        for r in pt.rows:
-            lines.append(",".join([r.value, r.dataset, r.measure,
-                                   f"{r.improvement_pct:.12g}", str(int(r.significant))]))
-    return "\n".join(lines) + "\n"
+    return csv_text(["value", "dataset", "measure", "improvement_pct", "significant"], (
+        [r.value, r.dataset, r.measure, f"{r.improvement_pct:.12g}", int(r.significant)]
+        for pt in report.points for r in pt.rows))
 
 
 def grid_matrix_csv(report: PairGridReport, contrast: str) -> str:

@@ -132,8 +132,7 @@ class ZTestResult:
     variant: str
 
 
-def z_test(n0: int, n1: int, total: int, z_critical: float = Z_CRITICAL,
-           variant: str = "paper") -> ZTestResult:
+def z_test(n0: int, n1: int, total: int, variant: str = "paper") -> ZTestResult:
     """Pooled two-proportion Z-test for error counts n0 (before) and n1 (after).
 
     variant="paper" uses sqrt(1/2 * P(1-P) * N) in the denominator as printed
@@ -151,11 +150,11 @@ def z_test(n0: int, n1: int, total: int, z_critical: float = Z_CRITICAL,
     p1 = n1 / total
     pooled = 0.5 * (n0 + n1) / total
     if pooled <= 0.0 or pooled >= 1.0:
-        return ZTestResult(n0, n1, total, p0, p1, pooled, None, z_critical, False, variant)
+        return ZTestResult(n0, n1, total, p0, p1, pooled, None, Z_CRITICAL, False, variant)
     if variant == "paper":
         denom = math.sqrt(0.5 * pooled * (1.0 - pooled) * total)
     else:
         denom = math.sqrt(2.0 * pooled * (1.0 - pooled) / total)
     z = (p1 - p0) / denom
-    return ZTestResult(n0, n1, total, p0, p1, pooled, z, z_critical,
-                       abs(z) > z_critical, variant)
+    return ZTestResult(n0, n1, total, p0, p1, pooled, z, Z_CRITICAL,
+                       abs(z) > Z_CRITICAL, variant)

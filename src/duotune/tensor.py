@@ -108,13 +108,10 @@ class Tape:
     def backward(self, out: Tensor) -> None:
         if out.data.size != 1:
             raise TensorError("backward expects a scalar output")
-        if not out.requires_grad:
-            # constant output: every parameter gradient is zero
-            for n in self.nodes:
-                n.grad = None
-            return
         for n in self.nodes:
             n.grad = None
+        if not out.requires_grad:
+            return              # constant output: every parameter gradient is zero
         out.grad = np.ones_like(out.data)
         for node in reversed(self.nodes):
             if node.grad is None or node._backward is None:
@@ -305,7 +302,7 @@ def layer_norm(a: Tensor, weight: Tensor, bias: Tensor, eps: float = LAYER_NORM_
     return _make(out, (a, weight, bias), backward)
 
 
-def l2_normalize(a: Tensor, eps: float = 1e-30) -> Tensor:
+def l2_normalize(a: Tensor) -> Tensor:
     norm = np.sqrt((a.data * a.data).sum(axis=-1, keepdims=True))
     if np.any(norm < 1e-12):
         raise TensorError("l2_normalize of a (near-)zero vector")

@@ -130,14 +130,13 @@ def _text_table(model: DualEncoder, token_triplets) -> TextTable:
     return dict(zip(seqs, encode_many(model.text_params, seqs, model.config)))
 
 
-def _text_rows(leaves: Dict[str, T.Tensor], seqs: Sequence[Sequence[int]],
+def _text_rows(leaves: Optional[Dict[str, T.Tensor]], seqs: Sequence[Sequence[int]],
                config: EncoderConfig, table: Optional[TextTable]) -> T.Tensor:
-    """Text-tower embeddings of `seqs` on the tape of `leaves`: constant rows
-    of `table` when one is given, else a fresh encode through `leaves`."""
+    """Text-tower embeddings of `seqs`: tape-free constant rows of `table`
+    when one is given (`leaves` unused), else a fresh encode through `leaves`."""
     if table is None:
         return encode_batch(leaves, pad_batch(seqs), config)
-    tape = next(iter(leaves.values())).tape
-    return T.Tensor(np.stack([table[tuple(s)] for s in seqs]), tape, requires_grad=False)
+    return T.Tensor(np.stack([table[tuple(s)] for s in seqs]), None, requires_grad=False)
 
 
 def validate(model: DualEncoder, valid_tokens: Sequence[Tuple[list, list, list]],
@@ -192,18 +191,21 @@ def tune(model: DualEncoder, train: Sequence[TripletSample],
         raise TuningError("training set is empty")
 
     work = model.copy()
+    spec = parse_freeze_spec(cfg.freeze)
+    towers = {"query": work.query_params}
+    if cfg.mode == "both-tuned":
+        towers["text"] = work.text_params
+    # side -> trainable names in tree order; the optimizer steps "side.name"
+    # keys. Optimizer steps update the arrays in place, so `params` stays valid.
+    trainable = {side: trainable_names(spec, tree.keys()) for side, tree in towers.items()}
+    params = {f"{side}.{n}": towers[side][n] for side, names in trainable.items() for n in names}
+
     max_len = token_limit(cfg.max_seq_len, model.config)
     train_tok = _tokenize_triplets(train, vocab, max_len)
     valid_tok = _tokenize_triplets(valid, vocab, max_len) if valid else []
-
-    spec = parse_freeze_spec(cfg.freeze)
-    q_train = trainable_names(spec, work.query_params.keys())
-    trainable = [("query", n) for n in q_train]
-    if cfg.mode == "both-tuned":
-        trainable += [("text", n) for n in trainable_names(spec, work.text_params.keys())]
-    flat_trainable = {f"{side}.{name}" for side, name in trainable}
-    text_frozen = not any(side == "text" for side, _ in trainable)
-    table = _text_table(work, train_tok + valid_tok) if text_frozen else None
+    table = None if trainable.get("text") else _text_table(work, train_tok + valid_tok)
+    # steps wrap the text tower only while it trains; else its rows come from `table`
+    wrapped = list(towers) if table is None else ["query"]
 
     if validate_fn is None:
         validate_fn = lambda m: validate(m, valid_tok, cfg.loss, table)
@@ -223,10 +225,10 @@ def tune(model: DualEncoder, train: Sequence[TripletSample],
         for b in range(cfg.batches_per_epoch):
             batch = [train_tok[i] for i in order[b * cfg.batch_size:(b + 1) * cfg.batch_size]]
             tape = T.Tape()
-            q_leaves = wrap_params(tape, work.query_params, flat_trainable, prefix="query.")
-            t_leaves = wrap_params(tape, work.text_params, flat_trainable, prefix="text.")
-            anchors = encode_batch(q_leaves, pad_batch([t[0] for t in batch]), work.config)
-            texts = _text_rows(t_leaves, [t[1] for t in batch] + [t[2] for t in batch],
+            leaves = {side: wrap_params(tape, towers[side], trainable[side]) for side in wrapped}
+            anchors = encode_batch(leaves["query"], pad_batch([t[0] for t in batch]),
+                                   work.config)
+            texts = _text_rows(leaves.get("text"), [t[1] for t in batch] + [t[2] for t in batch],
                                work.config, table)
             n = len(batch)
             pos = _slice(texts, 0, n)
@@ -239,15 +241,9 @@ def tune(model: DualEncoder, train: Sequence[TripletSample],
             lr = None
             if cfg.scheduler is not None:
                 lr = scheduler_value(cfg.scheduler, step)
-            grads: Dict[str, np.ndarray] = {}
-            params: Dict[str, np.ndarray] = {}
-            for side, leaves, tree in (("query", q_leaves, work.query_params),
-                                       ("text", t_leaves, work.text_params)):
-                for pname, leaf in leaves.items():
-                    key = f"{side}.{pname}"
-                    if key in flat_trainable and leaf.grad is not None:
-                        grads[key] = leaf.grad
-                        params[key] = tree[pname]
+            grads = {f"{side}.{n}": leaves[side][n].grad
+                     for side, names in trainable.items() for n in names
+                     if leaves[side][n].grad is not None}
             optimizer.step(params, grads, lr=lr)
             step += 1
 

@@ -1,6 +1,7 @@
 """End-to-end CLI flows on a tiny synthetic corpus, including manifest
 replay reproducibility."""
 
+import csv
 import json
 
 import numpy as np
@@ -163,6 +164,43 @@ def test_sweep_emits_reports(workspace, tmp_path):
     counts = (out / "grid_counts.csv").read_text().splitlines()
     assert counts[0] == "value,measure,contrast,improved,worsened"
     assert len(counts) == 1 + 2 * 2 * 2
+
+
+def sweep(p, out, axis, values, *extra):
+    return main(["sweep", "--model", str(p["model"]), "--train", str(p["train"]),
+                 "--valid", str(p["valid"]), "--vocab", str(p["vocab"]),
+                 "--axis", axis, "--values", values, "--eval", f"heldout={p['evals']}",
+                 "--out", str(out), "--batch-size", "4", "--epoch-size", "2",
+                 "--idle-epochs", "2", "--max-epochs", "2", "--seed", "0", *extra])
+
+
+def read_csv(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def test_sweep_over_freeze_separates_values_with_semicolons(workspace, tmp_path):
+    p = corpus_paths(workspace)
+    out = tmp_path / "sweep"
+    assert sweep(p, out, "freeze", "emb;emb, B0-1", "--pairs", str(p["pairs"])) == 0
+    for name in ("sweep.csv", "plot_data.csv", "grid_counts.csv"):
+        header, *rows = read_csv(out / name)
+        assert rows and all(len(r) == len(header) for r in rows), name
+        assert list(dict.fromkeys(r[0] for r in rows)) == ["emb", "emb, B0-1"], name
+
+
+@pytest.mark.parametrize("axis, values, extra", [
+    ("optimizer", "sgd,adamax", ()),
+    ("scheduler", "L,E:0.9", ("--scheduler-steps", "100")),
+])
+def test_sweep_over_optimizer_and_scheduler(workspace, tmp_path, axis, values, extra):
+    p = corpus_paths(workspace)
+    out = tmp_path / "sweep"
+    assert sweep(p, out, axis, values, *extra) == 0
+    header, *rows = read_csv(out / "sweep.csv")
+    assert len(rows) == 2 * 2  # 2 values x 1 dataset x 2 measures
+    assert all(len(r) == len(header) for r in rows)
+    assert len({r[0] for r in rows}) == 2
 
 
 def test_diagnose_and_report(workspace, tmp_path, capsys):

@@ -126,3 +126,18 @@ def test_dangling_suffix_rejected():
     spec = parse_freeze_spec("suffix:not.a.layer")
     with pytest.raises(FreezeSpecError):
         resolve(spec, names_for(4))
+
+
+def test_paper_freeze_lineage_freezes_the_embeddings_and_a_block_prefix():
+    names = names_for(4)
+    for text, n_frozen_blocks in (("emb", 0), ("emb, B0-1", 2), ("emb, B0-2", 3)):
+        prefixes = ("embeddings.",) + tuple(f"encoder.layer.{i}." for i in range(n_frozen_blocks))
+        assert resolve(parse_freeze_spec(text), names) == \
+            {n for n in names if n.startswith(prefixes)}, text
+
+
+@pytest.mark.parametrize("text", ["B2-5", "B4a", "emb, B4"])
+def test_blocks_past_the_last_rejected_at_resolve_time(text):
+    spec = parse_freeze_spec(text)
+    with pytest.raises(FreezeSpecError):
+        resolve(spec, names_for(4))

@@ -218,3 +218,44 @@ def test_both_tuned_mode_changes_the_text_encoder():
     seq = iter([(1.0, 10), (0.5, 5), (0.6, 6), (0.7, 7)])
     best, _ = tune(model, train, valid, cfg, VOCAB, validate_fn=lambda m: next(seq))
     assert not trees_equal(best.text_params, model.text_params)
+
+
+def assert_frozen_kept_rest_moved(before, after, frozen, moved):
+    """Names under the `frozen` prefixes are bit-identical; some name under
+    the `moved` prefix changed."""
+    for name in before:
+        if name.startswith(frozen):
+            assert np.array_equal(after[name], before[name]), name
+    assert any(not np.array_equal(after[n], before[n]) for n in before if n.startswith(moved))
+
+
+def _accepted_once(model, cfg):
+    # force acceptance of the first epoch so the tuned tree is returned
+    seq = iter([(1.0, 10), (0.5, 5), (0.6, 6)])
+    best, record = tune(model, topic_triplets(40, seed=4), topic_triplets(12, seed=5), cfg,
+                        VOCAB, validate_fn=lambda m: next(seq))
+    assert record.best_epoch == 1
+    return best
+
+
+def test_both_tuned_partial_freeze_keeps_the_frozen_text_prefix():
+    model = DualEncoder.twin_init(CFG, T.Rng(0))
+    cfg = small_config(mode="both-tuned", freeze="emb, B0", max_epochs=2,
+                       idle_epochs_to_stop=2, optimizer=OptimizerSpec(kind="sgd", lr=1e-2))
+    best = _accepted_once(model, cfg)
+    for side in ("text_params", "query_params"):
+        assert_frozen_kept_rest_moved(getattr(model, side), getattr(best, side),
+                                      ("embeddings.", "encoder.layer.0."), "encoder.layer.1.")
+
+
+def test_query_only_block_prefix_freeze_keeps_the_frozen_query_blocks():
+    config = EncoderConfig(vocab_size=32, hidden=16, n_blocks=3, n_heads=2,
+                           intermediate=32, max_positions=16)
+    model = DualEncoder.twin_init(config, T.Rng(0))
+    cfg = small_config(freeze="emb, B0-1", max_epochs=2, idle_epochs_to_stop=2,
+                       optimizer=OptimizerSpec(kind="sgd", lr=1e-2))
+    best = _accepted_once(model, cfg)
+    assert_frozen_kept_rest_moved(model.query_params, best.query_params,
+                                  ("embeddings.", "encoder.layer.0.", "encoder.layer.1."),
+                                  "encoder.layer.2.")
+    assert trees_equal(best.text_params, model.text_params)
