@@ -3,6 +3,11 @@ grids, sweeps, diagnostics, and manifest replay.
 
 Every tuning run writes a manifest (config echo + seed + input digests)
 that `duotune replay` can reproduce byte-for-byte.
+
+The tune flags of `tune` and `sweep` default to TuneConfig's values. A
+`--config` INI file's [tune] section sets their defaults (flags given win):
+keys are flag names with `_` for `-`, each value is checked by its flag, and
+an unknown key is a usage error.
 """
 
 from __future__ import annotations
@@ -14,37 +19,29 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import data as D
 from . import lab
 from .encoder import MEASURES, DualEncoder, EncoderConfig, Vocab, load_dual, save_dual
 from .grid import CONTRAST_LABELS, PairCorpus, grid_eval
-from .optim import OptimizerSpec, parse_scheduler, scale_lr
+from .optim import LossSpec, OptimizerSpec, parse_scheduler, scale_lr
 from .tensor import Rng
 from .tuning import TuneConfig, tune
 
 
-_CONFIG_TYPES = {
-    "lr": float, "batch_size": int, "margin": float, "weight_decay": float,
-    "base_batch": int, "epoch_size": int, "idle_epochs": int, "max_epochs": int,
-    "seed": int, "scheduler_steps": int,
-}
-
-
-def _load_config_file(path):
-    """INI file; values in known numeric keys are coerced."""
+def _apply_config(path, flags, error) -> None:
+    """Make the [tune] section of an INI file the tune flags' defaults. A key
+    must be the dest of a value-taking tune flag, and a value one of that
+    flag's choices; argparse converts the rest with the flag's own type."""
     cp = configparser.ConfigParser()
     with open(path, encoding="utf-8") as fh:
         cp.read_file(fh)
-    out = {}
-    for section in cp.sections():
-        vals = {}
-        for key, raw in cp.items(section):
-            conv = _CONFIG_TYPES.get(key)
-            vals[key] = conv(raw) if conv else raw
-        out[section] = vals
-    return out
+    for key, raw in cp.items("tune") if cp.has_section("tune") else []:
+        flag = flags.get(key)
+        if flag is None:
+            error(f"{path}: [tune] has unknown key {key!r}")
+        if flag.choices and raw not in flag.choices:
+            error(f"{path}: [tune] {key} = {raw!r} is not one of {', '.join(flag.choices)}")
+        flag.default = raw
 
 
 def _write(path: Path, text: str) -> None:
@@ -88,7 +85,7 @@ def cmd_init_model(args) -> int:
                            n_blocks=args.blocks, n_heads=args.heads,
                            intermediate=4 * args.hidden,
                            max_positions=args.max_positions)
-    model = DualEncoder.twin_init(config, Rng(args.seed), mode=args.mode)
+    model = DualEncoder.twin_init(config, Rng(args.seed))
     save_dual(model, args.out)
     print(f"initialized twin dual encoder at {args.out}")
     return 0
@@ -130,46 +127,20 @@ def cmd_make_triplets(args) -> int:
     return 0
 
 
-def _picker(args):
-    """pick(flag, key, default): the flag if given, else the [tune] section
-    of the --config file, else the default."""
-    base = _load_config_file(args.config).get("tune", {}) if args.config else {}
-
-    def pick(flag, key, default):
-        return flag if flag is not None else base.get(key, default)
-
-    return pick
-
-
 def _tune_config_from_args(args) -> TuneConfig:
-    pick = _picker(args)
-    lr = pick(args.lr, "lr", 5e-8)
-    batch_size = pick(args.batch_size, "batch_size", 14)
-    rule = pick(args.scaling_rule, "scaling_rule", "none")
-    base_batch = pick(args.base_batch, "base_batch", 14)
-    if rule != "none":
-        lr = scale_lr(base_batch, lr, batch_size, rule)
-    epoch_size = pick(args.epoch_size, "epoch_size", 1000)
-    opt = OptimizerSpec(kind=pick(args.optimizer, "optimizer", "adamw"), lr=lr,
-                        weight_decay=pick(args.weight_decay, "weight_decay", 0.0),
-                        momentum=not args.no_momentum)
-    sched_name = pick(args.scheduler, "scheduler", "none")
-    total = pick(args.scheduler_steps, "scheduler_steps", 0)
+    lr = args.lr
+    if args.scaling_rule != "none":
+        lr = scale_lr(args.base_batch, lr, args.batch_size, args.scaling_rule)
     sched = None
-    if sched_name not in ("none", "-", ""):
-        sched = parse_scheduler(sched_name, lr, total)
-    from .optim import LossSpec
+    if args.scheduler not in ("none", "-", ""):
+        sched = parse_scheduler(args.scheduler, lr, args.scheduler_steps)
     return TuneConfig(
-        batch_size=batch_size,
-        epoch_policy=pick(args.epoch_policy, "epoch_policy", "batches"),
-        epoch_size=epoch_size,
-        idle_epochs_to_stop=pick(args.idle_epochs, "idle_epochs", 10),
-        max_epochs=pick(args.max_epochs, "max_epochs", 1000),
-        freeze=pick(args.freeze, "freeze", "emb"),
-        optimizer=opt, scheduler=sched,
-        loss=LossSpec(margin=pick(args.margin, "margin", 0.1)),
-        seed=pick(args.seed, "seed", 0),
-        mode=pick(args.mode, "mode", "query-only"))
+        batch_size=args.batch_size, epoch_policy=args.epoch_policy,
+        epoch_size=args.epoch_size, idle_epochs_to_stop=args.idle_epochs,
+        max_epochs=args.max_epochs, freeze=args.freeze,
+        optimizer=OptimizerSpec(kind=args.optimizer, lr=lr, weight_decay=args.weight_decay,
+                                momentum=not args.no_momentum),
+        scheduler=sched, loss=LossSpec(margin=args.margin), seed=args.seed, mode=args.mode)
 
 
 def _run_tune(model_path, train_path, valid_path, vocab_path, cfg: TuneConfig,
@@ -264,8 +235,7 @@ def _sweep_values(args, base: TuneConfig) -> list:
     if args.axis == "optimizer":
         return [dataclasses.replace(base.optimizer, kind=v) for v in raw]
     if args.axis == "scheduler":
-        steps = _picker(args)(args.scheduler_steps, "scheduler_steps", 0)
-        return [parse_scheduler(v, base.optimizer.lr, steps) for v in raw]
+        return [parse_scheduler(v, base.optimizer.lr, args.scheduler_steps) for v in raw]
     return raw
 
 
@@ -305,13 +275,12 @@ def cmd_diagnose(args) -> int:
     before = load_dual(args.before)
     after = load_dual(args.after)
     report = lab.diagnose_layers(before.query_params, after.query_params)
-    lines = ["name,w_before,w_after,changed,max_abs_after,relative_shift"]
-    for l in report.layers:
-        lines.append(",".join([
-            l.name, f"{l.w_before:.12g}", f"{l.w_after:.12g}", str(int(l.changed)),
-            "" if l.max_abs_after is None else f"{l.max_abs_after:.12g}",
-            "" if l.relative_shift is None else f"{l.relative_shift:.12g}"]))
-    csv = "\n".join(lines) + "\n"
+    csv = lab.csv_text(
+        ["name", "w_before", "w_after", "changed", "max_abs_after", "relative_shift"],
+        ([l.name, f"{l.w_before:.12g}", f"{l.w_after:.12g}", int(l.changed),
+          "" if l.max_abs_after is None else f"{l.max_abs_after:.12g}",
+          "" if l.relative_shift is None else f"{l.relative_shift:.12g}"]
+         for l in report.layers))
     if args.out:
         _write(Path(args.out), csv)
     print("top by max |weight| after tuning (changed layers):")
@@ -342,26 +311,32 @@ def cmd_report(args) -> int:
 # --- argument wiring -----------------------------------------------------------
 
 def _add_tune_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="INI config file with a [tune] section")
-    p.add_argument("--freeze", help="freeze spec, e.g. 'emb, B0-5'")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--margin", type=float)
-    p.add_argument("--optimizer", choices=["adamw", "adamax", "adadelta", "sgd"])
+    """The tune settings, defaulting to TuneConfig's; `args.tune_flags` maps
+    each value-taking flag's dest, a key a --config file may set, to its action."""
+    d = TuneConfig()
+    p.add_argument("--config", help="INI file whose [tune] section sets flag defaults")
     p.add_argument("--no-momentum", action="store_true")
-    p.add_argument("--scheduler", help="none | L | Q | E | E:{gamma}")
-    p.add_argument("--scheduler-steps", type=int, dest="scheduler_steps")
-    p.add_argument("--weight-decay", type=float, dest="weight_decay")
-    p.add_argument("--scaling-rule", choices=["none", "linear", "sqrt"],
-                   dest="scaling_rule")
-    p.add_argument("--base-batch", type=int, dest="base_batch")
-    p.add_argument("--epoch-policy", choices=["batches", "samples"],
-                   dest="epoch_policy")
-    p.add_argument("--epoch-size", type=int, dest="epoch_size")
-    p.add_argument("--idle-epochs", type=int, dest="idle_epochs")
-    p.add_argument("--max-epochs", type=int, dest="max_epochs")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--mode", choices=["query-only", "both-tuned"])
+    flags = [
+        p.add_argument("--freeze", default=d.freeze, help="freeze spec, e.g. 'emb, B0-5'"),
+        p.add_argument("--lr", type=float, default=d.optimizer.lr),
+        p.add_argument("--batch-size", type=int, default=d.batch_size),
+        p.add_argument("--margin", type=float, default=d.loss.margin),
+        p.add_argument("--optimizer", choices=["adamw", "adamax", "adadelta", "sgd"],
+                       default=d.optimizer.kind),
+        p.add_argument("--scheduler", default="none", help="none | L | Q | E | E:{gamma}"),
+        p.add_argument("--scheduler-steps", type=int, default=0),
+        p.add_argument("--weight-decay", type=float, default=d.optimizer.weight_decay),
+        p.add_argument("--scaling-rule", choices=["none", "linear", "sqrt"], default="none"),
+        p.add_argument("--base-batch", type=int, default=14),
+        p.add_argument("--epoch-policy", choices=["batches", "samples"],
+                       default=d.epoch_policy),
+        p.add_argument("--epoch-size", type=int, default=d.epoch_size),
+        p.add_argument("--idle-epochs", type=int, default=d.idle_epochs_to_stop),
+        p.add_argument("--max-epochs", type=int, default=d.max_epochs),
+        p.add_argument("--seed", type=int, default=d.seed),
+        p.add_argument("--mode", choices=["query-only", "both-tuned"], default=d.mode),
+    ]
+    p.set_defaults(tune_flags={a.dest: a for a in flags})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,8 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks", type=int, default=4)
     p.add_argument("--heads", type=int, default=4)
     p.add_argument("--max-positions", type=int, default=64, dest="max_positions")
-    p.add_argument("--mode", choices=["query-only", "both-tuned"],
-                   default="query-only")
     p.set_defaults(func=cmd_init_model)
 
     p = sub.add_parser("split", help="split triplets into train/valid/eval")
@@ -477,7 +450,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None):
+        _apply_config(args.config, args.tune_flags, parser.error)
+        args = parser.parse_args(argv)   # with the file's defaults; flags given win
     return args.func(args)
 
 

@@ -16,6 +16,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import freeze
 from .data import TripletSample
 from .encoder import MEASURES, DualEncoder, ParamTree, Vocab, encode_many, token_limit
 from .grid import GridComparison, PairCorpus, PairGridReport, grid_compare, grid_eval
@@ -173,6 +174,12 @@ def run_sweep(model: DualEncoder, train: Sequence[TripletSample],
               valid: Sequence[TripletSample], vocab: Vocab,
               spec: SweepSpec) -> SweepReport:
     """One tune+eval per swept value against the same starting model."""
+    configs = [apply_axis_value(spec.base, spec.axis, v) for v in spec.values]
+    for cfg in configs:   # a bad freeze spec fails before any point is tuned
+        frozen = freeze.parse_freeze_spec(cfg.freeze)
+        trained = [model.query_params] + ([model.text_params] if cfg.mode == "both-tuned" else [])
+        for tree in trained:
+            freeze.resolve(frozen, tree)
     base_reports = {name: evaluate_triplets(model, samples, vocab, spec.measures)
                     for name, samples in spec.eval_sets.items()}
     base_grids = None
@@ -181,8 +188,7 @@ def run_sweep(model: DualEncoder, train: Sequence[TripletSample],
                       for m in spec.measures}
 
     points: List[SweepPointResult] = []
-    for value in spec.values:
-        cfg = apply_axis_value(spec.base, spec.axis, value)
+    for value, cfg in zip(spec.values, configs):
         tuned, record = tune(model, train, valid, cfg, vocab)
         rows: List[SweepRow] = []
         for name, samples in spec.eval_sets.items():
@@ -214,7 +220,8 @@ SWEEP_CSV_HEADER = ("value,dataset,measure,pnd_before,pnd_after,improvement_pct,
 
 
 def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """CSV text with newline line ends; a field holding a comma (a freeze spec) is quoted."""
+    """CSV text with newline line ends; a field holding a comma (a freeze spec,
+    a language name from a pairs file) is quoted."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -238,19 +245,13 @@ def plot_data(report: SweepReport) -> str:
 
 
 def grid_matrix_csv(report: PairGridReport, contrast: str) -> str:
-    lines = ["qlang\\tlang," + ",".join(report.languages)]
-    for qi, lq in enumerate(report.languages):
-        row = [lq] + [str(int(report.errors[contrast][qi, ti]))
-                      for ti in range(len(report.languages))]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    rows = zip(report.languages, report.errors[contrast])
+    return csv_text(["qlang\\tlang", *report.languages], ([lq, *map(int, r)] for lq, r in rows))
 
 
 def eval_csv(reports: Dict[str, EvalReport]) -> str:
-    lines = ["measure,errors,total,pnd,mrr,map,p_at_1"]
-    for m in sorted(reports):
-        lines.append(reports[m].csv_row())
-    return "\n".join(lines) + "\n"
+    return csv_text(["measure", "errors", "total", "pnd", "mrr", "map", "p_at_1"],
+                    (reports[m].csv_row() for m in sorted(reports)))
 
 
 def file_digest(path) -> str:

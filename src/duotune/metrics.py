@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,10 +49,10 @@ class EvalReport:
     map: Optional[float] = None
     p_at_1: Optional[float] = None
 
-    def csv_row(self) -> str:
+    def csv_row(self) -> List[str]:
         opt = lambda v: "" if v is None else f"{v:.10g}"
-        return ",".join([self.measure, str(self.errors), str(self.total),
-                         f"{self.pnd:.10g}", opt(self.mrr), opt(self.map), opt(self.p_at_1)])
+        return [self.measure, str(self.errors), str(self.total),
+                f"{self.pnd:.10g}", opt(self.mrr), opt(self.map), opt(self.p_at_1)]
 
 
 def count_errors(pos_sims: np.ndarray, neg_sims: np.ndarray) -> int:

@@ -77,6 +77,10 @@ class OptimizerSpec:
         if self.kind not in ("adamw", "adamax", "adadelta", "sgd"):
             raise OptimError(f"unknown optimizer kind {self.kind!r}")
 
+    def __str__(self) -> str:
+        """The --optimizer spelling; a sweep point's label."""
+        return self.kind
+
 
 class Optimizer:
     """State per parameter name; updates are in-place on the given tree."""
@@ -153,6 +157,11 @@ class SchedulerSpec:
             raise OptimError(f"scheduler {self.kind} needs total_steps > 0")
         if self.kind == "E" and not (0.0 < self.gamma <= 1.0):
             raise OptimError("gamma must lie in (0, 1]")
+
+    def __str__(self) -> str:
+        """The --scheduler spelling that parse_scheduler reads back; a sweep
+        point's label."""
+        return f"E:{self.gamma}" if self.kind == "E" else self.kind
 
 
 def scheduler_value(spec: SchedulerSpec, t: int) -> float:

@@ -7,8 +7,9 @@ import json
 import numpy as np
 import pytest
 
-from duotune.cli import main
+from duotune.cli import _tune_config_from_args, build_parser, main
 from duotune.data import ArxivRecord, read_triplets
+from duotune.tuning import TuneConfig
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +117,36 @@ def test_config_file_with_flag_override(workspace, tmp_path):
     assert tune_cfg["batch_size"] == 4         # config file fills the rest
 
 
+def test_tune_flag_defaults_are_tune_configs():
+    args = build_parser().parse_args(["tune", "--model", "m", "--train", "t", "--valid", "v",
+                                      "--vocab", "w", "--out", "o"])
+    assert _tune_config_from_args(args) == TuneConfig()
+
+
+@pytest.mark.parametrize("line, named", [
+    ("learning_rate = 1e-3", "'learning_rate'"),  # not a flag: lr is
+    ("no_momentum = true", "'no_momentum'"),      # a flag that takes no value
+    ("config = other.ini", "'config'"),
+    ("model = other.ckpt", "'model'"),            # not a tune setting
+    ("batch_size = four", "--batch-size"),
+    ("seed = 1.5", "--seed"),
+    ("optimizer = adamww", "optimizer = 'adamww'"),
+    ("mode = both", "mode = 'both'"),
+])
+def test_config_file_rejects_unknown_keys_and_bad_values(workspace, tmp_path, capsys,
+                                                         line, named):
+    p = corpus_paths(workspace)
+    cfg = tmp_path / "tune.ini"
+    cfg.write_text(f"[tune]\nepoch_size = 2\n{line}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["tune", "--model", str(p["model"]), "--train", str(p["train"]),
+              "--valid", str(p["valid"]), "--vocab", str(p["vocab"]),
+              "--out", str(tmp_path / "run"), "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_scaling_rule_applies_to_the_configured_lr(workspace, tmp_path):
     p = corpus_paths(workspace)
     out = tmp_path / "run"
@@ -196,11 +227,13 @@ def test_sweep_over_freeze_separates_values_with_semicolons(workspace, tmp_path)
 def test_sweep_over_optimizer_and_scheduler(workspace, tmp_path, axis, values, extra):
     p = corpus_paths(workspace)
     out = tmp_path / "sweep"
-    assert sweep(p, out, axis, values, *extra) == 0
+    assert sweep(p, out, axis, values, *extra, "--pairs", str(p["pairs"])) == 0
     header, *rows = read_csv(out / "sweep.csv")
     assert len(rows) == 2 * 2  # 2 values x 1 dataset x 2 measures
     assert all(len(r) == len(header) for r in rows)
-    assert len({r[0] for r in rows}) == 2
+    for name in ("sweep.csv", "plot_data.csv", "grid_counts.csv"):
+        labels = list(dict.fromkeys(r[0] for r in read_csv(out / name)[1:]))
+        assert labels == values.split(","), name
 
 
 def test_diagnose_and_report(workspace, tmp_path, capsys):

@@ -1,5 +1,9 @@
 """Orchestration layer: layer-change diagnostics, sweeps, and emission."""
 
+import csv
+import dataclasses
+import io
+
 import numpy as np
 import pytest
 
@@ -8,7 +12,8 @@ from duotune import tensor as T
 from duotune.data import TripletSample
 from duotune.encoder import (DualEncoder, EncoderConfig, Vocab, copy_tree, encode_many,
                              init_params)
-from duotune.grid import PairCorpus
+from duotune.freeze import FreezeSpecError
+from duotune.grid import PairCorpus, PairGridReport
 from duotune.lab import (LabError, SweepSpec, apply_axis_value, diagnose_layers,
                          eval_csv, evaluate_triplets, file_digest,
                          grid_matrix_csv, judgments_from_triplets, manifest_json,
@@ -112,6 +117,17 @@ def sweep_fixture(values, **base_kw):
     return model, train, valid, spec
 
 
+def test_sweep_rejects_a_bad_freeze_value_before_any_point_is_tuned(monkeypatch):
+    model, train, valid, spec = sweep_fixture(["emb", "B9"])
+    spec = dataclasses.replace(spec, axis="freeze")
+    calls = []
+    monkeypatch.setattr(lab, "tune", lambda *a: calls.append("tune"))
+    monkeypatch.setattr(lab, "evaluate_triplets", lambda *a: calls.append("evaluate"))
+    with pytest.raises(FreezeSpecError, match="B9"):
+        run_sweep(model, train, valid, VOCAB, spec)
+    assert calls == []
+
+
 def test_zero_lr_sweep_point_has_zero_improvement():
     model, train, valid, spec = sweep_fixture([0.0])
     report = run_sweep(model, train, valid, VOCAB, spec)
@@ -166,6 +182,13 @@ def test_grid_matrix_csv_has_a_cell_per_language_pair():
     lines = grid_matrix_csv(report, "neutral").splitlines()
     assert len(lines) == 4  # header + 3 language rows
     assert all(len(l.split(",")) == 4 for l in lines)
+
+
+def test_grid_matrix_csv_quotes_language_names_with_commas():
+    errors = {"neutral": np.array([[1, 2], [3, 4]], dtype=np.int64)}
+    report = PairGridReport(["en,US", "de"], "cosine", 3, errors)
+    rows = list(csv.reader(io.StringIO(grid_matrix_csv(report, "neutral"))))
+    assert rows == [["qlang\\tlang", "en,US", "de"], ["en,US", "1", "2"], ["de", "3", "4"]]
 
 
 def uneven_samples():

@@ -169,7 +169,7 @@ def test_full_report_csv_row_shape():
     rng = np.random.default_rng(4)
     rep = full_report(judgments_from(rng, 5), "cosine")
     assert isinstance(rep, EvalReport)
-    assert len(rep.csv_row().split(",")) == 7
+    assert len(rep.csv_row()) == 7
 
 
 # --- improvement -----------------------------------------------------------------
