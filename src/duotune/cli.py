@@ -22,6 +22,7 @@ from pathlib import Path
 from . import data as D
 from . import lab
 from .encoder import MEASURES, DualEncoder, EncoderConfig, Vocab, load_dual, save_dual
+from .freeze import parse_freeze_spec
 from .grid import CONTRAST_LABELS, PairCorpus, grid_eval
 from .optim import LossSpec, OptimizerSpec, parse_scheduler, scale_lr
 from .tensor import Rng
@@ -42,6 +43,25 @@ def _apply_config(path, flags, error) -> None:
         if flag.choices and raw not in flag.choices:
             error(f"{path}: [tune] {key} = {raw!r} is not one of {', '.join(flag.choices)}")
         flag.default = raw
+
+
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{n} is not >= 1")
+    return n
+
+
+def _parses(check):
+    """An argparse type: the text, unchanged, once `check(text)` raised no
+    ValueError (a FreezeSpecError or OptimError, say)."""
+    def arg(text: str) -> str:
+        try:
+            check(text)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+        return text
+    return arg
 
 
 def _write(path: Path, text: str) -> None:
@@ -317,13 +337,15 @@ def _add_tune_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="INI file whose [tune] section sets flag defaults")
     p.add_argument("--no-momentum", action="store_true")
     flags = [
-        p.add_argument("--freeze", default=d.freeze, help="freeze spec, e.g. 'emb, B0-5'"),
+        p.add_argument("--freeze", type=_parses(parse_freeze_spec), default=d.freeze,
+                       help="freeze spec, e.g. 'emb, B0-5'"),
         p.add_argument("--lr", type=float, default=d.optimizer.lr),
-        p.add_argument("--batch-size", type=int, default=d.batch_size),
+        p.add_argument("--batch-size", type=_positive_int, default=d.batch_size),
         p.add_argument("--margin", type=float, default=d.loss.margin),
         p.add_argument("--optimizer", choices=["adamw", "adamax", "adadelta", "sgd"],
                        default=d.optimizer.kind),
-        p.add_argument("--scheduler", default="none", help="none | L | Q | E | E:{gamma}"),
+        p.add_argument("--scheduler", type=_parses(lambda t: parse_scheduler(t, 0.0, 1)),
+                       default="none", help="none | L | Q | E | E:{gamma}"),
         p.add_argument("--scheduler-steps", type=int, default=0),
         p.add_argument("--weight-decay", type=float, default=d.optimizer.weight_decay),
         p.add_argument("--scaling-rule", choices=["none", "linear", "sqrt"], default="none"),
@@ -331,7 +353,7 @@ def _add_tune_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--epoch-policy", choices=["batches", "samples"],
                        default=d.epoch_policy),
         p.add_argument("--epoch-size", type=int, default=d.epoch_size),
-        p.add_argument("--idle-epochs", type=int, default=d.idle_epochs_to_stop),
+        p.add_argument("--idle-epochs", type=_positive_int, default=d.idle_epochs_to_stop),
         p.add_argument("--max-epochs", type=int, default=d.max_epochs),
         p.add_argument("--seed", type=int, default=d.seed),
         p.add_argument("--mode", choices=["query-only", "both-tuned"], default=d.mode),

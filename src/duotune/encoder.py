@@ -12,7 +12,8 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import dataclass, asdict
-from typing import Dict, Iterable, Optional, Sequence
+from itertools import groupby
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,10 +44,6 @@ class EncoderConfig:
     def __post_init__(self):
         if self.hidden % self.n_heads != 0:
             raise EncoderError("hidden must be divisible by n_heads")
-
-    @property
-    def head_dim(self) -> int:
-        return self.hidden // self.n_heads
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -105,20 +102,10 @@ def trees_equal(a: ParamTree, b: ParamTree) -> bool:
     return set(a) == set(b) and all(np.array_equal(a[k], b[k]) for k in a)
 
 
-def _linear(x: T.Tensor, w: T.Tensor, b: T.Tensor) -> T.Tensor:
-    # HF convention: weight is (out, in), y = x @ w.T + b
-    wt = T.transpose(w, (1, 0))
-    return T.add(T.matmul(x, wt), b)
-
-
-def encode_batch(params: Dict[str, T.Tensor], token_ids: np.ndarray,
-                 config: EncoderConfig) -> T.Tensor:
-    """Encode a (B, L) batch of token ids into unit-norm (B, hidden) embeddings.
-
-    `params` holds tape leaves (see `wrap_params`). Pad positions (id 0) are
-    masked out of attention keys and excluded from mean pooling.
-    """
-    ids = np.asarray(token_ids)
+def _stages(params: Dict[str, T.Tensor], ids: np.ndarray, config: EncoderConfig,
+            x: Optional[T.Tensor], start: int, stop: int) -> T.Tensor:
+    """Check the (B, L) `ids`, then run stages start..stop-1 on `x`: stage 0
+    is the embeddings (which ignore `x`), stage i + 1 is block i."""
     if ids.ndim != 2:
         raise EncoderError("token_ids must be (batch, length)")
     B, L = ids.shape
@@ -129,64 +116,87 @@ def encode_batch(params: Dict[str, T.Tensor], token_ids: np.ndarray,
     mask = (ids != PAD_ID)
     if not mask.any(axis=1).all():
         raise EncoderError("a sequence with no non-pad tokens cannot be encoded")
+    dtype = params["embeddings.LayerNorm.weight"].dtype
+    att_bias = np.where(mask, 0.0, ATTENTION_MASK_BIAS).astype(dtype)[:, None, None, :]
+    for stage in range(start, stop):
+        if stage == 0:
+            x = T.embedding(params["embeddings.word_embeddings.weight"], ids)
+            pos = T.embedding(params["embeddings.position_embeddings.weight"],
+                              np.broadcast_to(np.arange(L), (B, L)))
+            typ = T.embedding(params["embeddings.token_type_embeddings.weight"],
+                              np.zeros((B, L), dtype=np.int64))
+            x = T.add_layer_norm(T.add(x, pos), typ, params["embeddings.LayerNorm.weight"],
+                                 params["embeddings.LayerNorm.bias"])
+            continue
+        p = f"encoder.layer.{stage - 1}."
 
-    some = next(iter(params.values()))
-    dtype = some.dtype
-    tape = some.tape
+        def wb(name: str) -> tuple:
+            return params[p + name + ".weight"], params[p + name + ".bias"]
 
-    x = T.embedding(params["embeddings.word_embeddings.weight"], ids)
-    pos = T.embedding(params["embeddings.position_embeddings.weight"],
-                      np.broadcast_to(np.arange(L), (B, L)))
-    typ = T.embedding(params["embeddings.token_type_embeddings.weight"],
-                      np.zeros((B, L), dtype=np.int64))
-    x = T.add(T.add(x, pos), typ)
-    x = T.layer_norm(x, params["embeddings.LayerNorm.weight"], params["embeddings.LayerNorm.bias"])
+        ctx = T.attention(T.linear(x, *wb("attention.self.query")),
+                          T.linear(x, *wb("attention.self.key")),
+                          T.linear(x, *wb("attention.self.value")), att_bias, config.n_heads)
+        x = T.add_layer_norm(x, T.linear(ctx, *wb("attention.output.dense")),
+                             *wb("attention.output.LayerNorm"))
+        inter = T.gelu(T.linear(x, *wb("intermediate.dense")))
+        x = T.add_layer_norm(x, T.linear(inter, *wb("output.dense")), *wb("output.LayerNorm"))
+    return x
 
-    bias_np = np.where(mask, 0.0, ATTENTION_MASK_BIAS).astype(dtype)
-    att_bias = T.Tensor(bias_np[:, None, None, :], tape, requires_grad=False)
 
-    h, nh, dh = config.hidden, config.n_heads, config.head_dim
-    inv_sqrt_dh = dh ** -0.5            # a Python float keeps float32 float32
+# (boundary stage, token sequence -> (own length, hidden) activations there)
+PrefixTable = Tuple[int, Dict[Tuple[int, ...], np.ndarray]]
 
-    for i in range(config.n_blocks):
-        p = f"encoder.layer.{i}."
 
-        def heads(t: T.Tensor) -> T.Tensor:
-            t = T.reshape(t, (B, L, nh, dh))
-            return T.transpose(t, (0, 2, 1, 3))
+def encode_batch(params: Dict[str, T.Tensor], token_ids: np.ndarray,
+                 config: EncoderConfig, prefix: Optional[PrefixTable] = None) -> T.Tensor:
+    """Encode a (B, L) batch of token ids into unit-norm (B, hidden) embeddings.
 
-        q = heads(_linear(x, params[p + "attention.self.query.weight"],
-                          params[p + "attention.self.query.bias"]))
-        k = heads(_linear(x, params[p + "attention.self.key.weight"],
-                          params[p + "attention.self.key.bias"]))
-        v = heads(_linear(x, params[p + "attention.self.value.weight"],
-                          params[p + "attention.self.value.bias"]))
+    `params` holds tape leaves (see `wrap_params`). Pad positions (id 0) are
+    masked out of attention keys and excluded from mean pooling.
 
-        scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), inv_sqrt_dh)
-        scores = T.add(scores, att_bias)
-        ctx = T.matmul(T.softmax(scores), v)
-        ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (B, L, h))
-
-        att_out = _linear(ctx, params[p + "attention.output.dense.weight"],
-                          params[p + "attention.output.dense.bias"])
-        x = T.layer_norm(T.add(x, att_out),
-                         params[p + "attention.output.LayerNorm.weight"],
-                         params[p + "attention.output.LayerNorm.bias"])
-
-        inter = T.gelu(_linear(x, params[p + "intermediate.dense.weight"],
-                               params[p + "intermediate.dense.bias"]))
-        out = _linear(inter, params[p + "output.dense.weight"],
-                      params[p + "output.dense.bias"])
-        x = T.layer_norm(T.add(x, out),
-                         params[p + "output.LayerNorm.weight"],
-                         params[p + "output.LayerNorm.bias"])
+    With a `prefix` (see `encode_prefix`) the forward starts from its rows,
+    zero-padded; pad rows cannot reach non-pad outputs (masked softmax weights
+    are exactly 0 and every other op works row by row).
+    """
+    ids = np.asarray(token_ids)
+    dtype = next(iter(params.values())).dtype
+    mask = (ids != PAD_ID)
+    start, x = 0, None
+    if prefix is not None:
+        start, rows = prefix
+        acts = np.zeros(ids.shape + (config.hidden,), dtype=dtype)
+        for r, n in enumerate(mask.sum(axis=1)):
+            acts[r, :n] = rows[tuple(ids[r, :n].tolist())]
+        x = T.Tensor(acts, None, requires_grad=False)
+    x = _stages(params, ids, config, x, start, config.n_blocks + 1)
 
     # mean over non-pad positions, then L2 normalize
-    fmask = T.Tensor(mask[:, :, None].astype(dtype), tape, requires_grad=False)
+    fmask = T.Tensor(mask[:, :, None].astype(dtype), None, requires_grad=False)
     inv_counts = (1.0 / mask.sum(axis=1, keepdims=True)).astype(dtype)
     pooled = T.tsum(T.mul(x, fmask), axis=1)
-    pooled = T.mul(pooled, T.Tensor(inv_counts, tape, requires_grad=False))
+    pooled = T.mul(pooled, T.Tensor(inv_counts, None, requires_grad=False))
     return T.l2_normalize(pooled)
+
+
+def frozen_stages(trainable: Iterable[str], config: EncoderConfig) -> int:
+    """How many leading stages (0 = embeddings, i + 1 = block i) hold none of
+    the `trainable` parameter names; n_blocks + 1 when none trains."""
+    return min((0 if n.startswith("embeddings.") else int(n.split(".")[2]) + 1
+                for n in trainable), default=config.n_blocks + 1)
+
+
+def encode_prefix(params: ParamTree, token_lists: Iterable[Sequence[int]],
+                  config: EncoderConfig, stages: int) -> PrefixTable:
+    """Evaluation-mode activations after the first `stages` stages (see
+    `frozen_stages`) of each distinct sequence in `token_lists`, at its own
+    length; valid while those stages hold no trainable parameter."""
+    leaves, rows = wrap_params(T.Tape(), params), {}
+    for _, same_len in groupby(sorted({tuple(s) for s in token_lists}, key=len), key=len):
+        seqs = list(same_len)
+        for i in range(0, len(seqs), 256):
+            ids = np.array(seqs[i:i + 256])
+            rows.update(zip(seqs[i:i + 256], _stages(leaves, ids, config, None, 0, stages).data))
+    return stages, rows
 
 
 def wrap_params(tape: T.Tape, tree: ParamTree,
@@ -198,10 +208,7 @@ def wrap_params(tape: T.Tape, tree: ParamTree,
 
 def encode(params: ParamTree, tokens: Sequence[int], config: EncoderConfig) -> np.ndarray:
     """Evaluation-mode encode of a single token sequence; returns (hidden,)."""
-    tape = T.Tape()
-    leaves = wrap_params(tape, params)
-    out = encode_batch(leaves, np.asarray(tokens)[None, :], config)
-    return out.data[0]
+    return encode_many(params, [tokens], config)[0]
 
 
 def pad_batch(token_lists: Sequence[Sequence[int]]) -> np.ndarray:
@@ -218,13 +225,14 @@ def token_limit(max_len: int, config: EncoderConfig) -> int:
 
 
 def encode_many(params: ParamTree, token_lists: Sequence[Sequence[int]],
-                config: EncoderConfig, batch_size: int = 256) -> np.ndarray:
+                config: EncoderConfig, batch_size: int = 256,
+                prefix: Optional[PrefixTable] = None) -> np.ndarray:
     """Evaluation-mode batched encode with right-padding; returns (N, hidden)."""
     if not token_lists:
         return np.zeros((0, config.hidden), dtype=np.float32)
     return np.concatenate([
         encode_batch(wrap_params(T.Tape(), params),
-                     pad_batch(token_lists[start:start + batch_size]), config).data
+                     pad_batch(token_lists[start:start + batch_size]), config, prefix=prefix).data
         for start in range(0, len(token_lists), batch_size)], axis=0)
 
 

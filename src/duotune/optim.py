@@ -82,13 +82,24 @@ class OptimizerSpec:
         return self.kind
 
 
+def _decay_into(buf: np.ndarray, decay: float, term: np.ndarray) -> None:
+    """buf = decay * buf + (1 - decay) * term, updating buf in place."""
+    buf *= decay
+    buf += (1 - decay) * term
+
+
 class Optimizer:
-    """State per parameter name; updates are in-place on the given tree."""
+    """State per parameter name; updates are in-place on the given tree, and
+    so are the float64 moment buffers (bit-identical to the plain formulas)."""
 
     def __init__(self, spec: OptimizerSpec):
         self.spec = spec
         self.t = 0
         self.state: Dict[str, dict] = {}
+
+    def _buffers(self, name: str, w: np.ndarray, *keys: str) -> list:
+        st = self.state.setdefault(name, {})
+        return [st[k] if k in st else st.setdefault(k, np.zeros(w.shape)) for k in keys]
 
     def step(self, params: Dict[str, np.ndarray], grads: Dict[str, np.ndarray],
              lr: Optional[float] = None) -> None:
@@ -99,42 +110,42 @@ class Optimizer:
             if not np.all(np.isfinite(g)):
                 raise OptimError(f"non-finite gradient for {name}")
             w = params[name]
-            st = self.state.setdefault(name, {})
             if s.kind == "sgd":
                 if s.momentum:
-                    v = st.get("v")
-                    v = g.copy() if v is None else 0.9 * v + g
-                    st["v"] = v
-                    upd = lr * v
-                else:
-                    upd = lr * g
-                w -= upd.astype(w.dtype)
+                    st = self.state.setdefault(name, {})
+                    if "v" not in st:
+                        st["v"] = g.copy()
+                    else:                       # v = 0.9 * v + g
+                        st["v"] *= 0.9
+                        st["v"] += g
+                    g = st["v"]
+                w -= (lr * g).astype(w.dtype, copy=False)
             elif s.kind == "adamw":
-                m = st.get("m", np.zeros_like(w, dtype=np.float64))
-                v = st.get("v", np.zeros_like(w, dtype=np.float64))
-                m = s.beta1 * m + (1 - s.beta1) * g
-                v = s.beta2 * v + (1 - s.beta2) * (g * g)
-                st["m"], st["v"] = m, v
-                mhat = m / (1 - s.beta1 ** self.t)
-                vhat = v / (1 - s.beta2 ** self.t)
-                w -= (lr * mhat / (np.sqrt(vhat) + s.eps)).astype(w.dtype)
+                m, v = self._buffers(name, w, "m", "v")
+                _decay_into(m, s.beta1, g)
+                _decay_into(v, s.beta2, g * g)
+                upd = m / (1 - s.beta1 ** self.t)     # lr * mhat / (sqrt(vhat) + eps)
+                upd *= lr
+                den = np.sqrt(v / (1 - s.beta2 ** self.t))
+                den += s.eps
+                upd /= den
+                w -= upd.astype(w.dtype)
             elif s.kind == "adamax":
                 b1 = s.beta1 if s.momentum else 0.0
                 b2 = s.beta2 if s.momentum else 0.0
-                m = st.get("m", np.zeros_like(w, dtype=np.float64))
-                u = st.get("u", np.zeros_like(w, dtype=np.float64))
-                m = b1 * m + (1 - b1) * g
-                u = np.maximum(b2 * u, np.abs(g))
-                st["m"], st["u"] = m, u
+                m, u = self._buffers(name, w, "m", "u")
+                _decay_into(m, b1, g)
+                u *= b2                                 # u = max(b2 * u, |g|)
+                np.maximum(u, np.abs(g), out=u)
                 denom = 1.0 - b1 ** self.t if b1 > 0 else 1.0
-                w -= (lr / denom * m / (u + s.eps)).astype(w.dtype)
+                upd = lr / denom * m
+                upd /= u + s.eps
+                w -= upd.astype(w.dtype)
             elif s.kind == "adadelta":
-                eg = st.get("eg", np.zeros_like(w, dtype=np.float64))
-                ed = st.get("ed", np.zeros_like(w, dtype=np.float64))
-                eg = s.rho * eg + (1 - s.rho) * (g * g)
+                eg, ed = self._buffers(name, w, "eg", "ed")
+                _decay_into(eg, s.rho, g * g)
                 delta = -np.sqrt(ed + s.adadelta_eps) / np.sqrt(eg + s.adadelta_eps) * g
-                ed = s.rho * ed + (1 - s.rho) * (delta * delta)
-                st["eg"], st["ed"] = eg, ed
+                _decay_into(ed, s.rho, delta * delta)
                 w += (lr * delta).astype(w.dtype)
             # decoupled weight decay, applied after the moment update
             if s.weight_decay != 0.0:

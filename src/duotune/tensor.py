@@ -5,12 +5,17 @@ of nodes in creation order (which is a topological order), and backward()
 walks it in reverse. Parameters are ordinary numpy arrays wrapped into leaf
 nodes per pass, so optimizers stay tape-free.
 
+A node holds its tape weakly, so a pass's graph is freed when the caller
+drops the tape. The fused ops `linear`, `attention` and `add_layer_norm` are
+one node each, with a hand-written backward, in place of primitive chains.
+
 Training runs at float32 by default; gradient checks use float64.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -68,18 +73,23 @@ class Rng:
 class Tensor:
     """A tape node: immutable ndarray plus an optional backward closure."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_backward", "_parents", "tape")
+    __slots__ = ("data", "requires_grad", "grad", "_backward", "_parents", "_tape")
 
     def __init__(self, data: np.ndarray, tape: Optional["Tape"], requires_grad: bool,
                  parents: Sequence["Tensor"] = (), backward: Optional[Callable] = None):
         self.data = data
-        self.tape = tape
+        self._tape = None if tape is None else tape.ref
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
         self._parents = tuple(parents)
         self._backward = backward
         if tape is not None and requires_grad:
             tape.nodes.append(self)
+
+    @property
+    def tape(self) -> Optional["Tape"]:
+        """The recording tape, or None once nothing else holds it."""
+        return None if self._tape is None else self._tape()
 
     @property
     def shape(self):
@@ -101,6 +111,7 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[Tensor] = []
+        self.ref = weakref.ref(self)        # shared by the tape's nodes
 
     def leaf(self, data: np.ndarray, param: bool = False) -> Tensor:
         return Tensor(np.asarray(data), self, requires_grad=param)
@@ -137,7 +148,7 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 def _make(data, parents, backward):
     req = any(p.requires_grad for p in parents)
-    tape = next((p.tape for p in parents if p.tape is not None), None)
+    tape = next((p.tape for p in parents if p.requires_grad), None)
     return Tensor(data, tape, req, parents if req else (), backward if req else None)
 
 
@@ -182,15 +193,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), backward)
 
 
-def scale(a: Tensor, s: float) -> Tensor:
-    out = a.data * s
-
-    def backward(g):
-        _accum(a, g * s)
-
-    return _make(out, (a,), backward)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise TensorError("matmul expects operands with ndim >= 2")
@@ -207,6 +209,67 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _accum(b, _unbroadcast(gb, b.data.shape))
 
     return _make(out, (a, b), backward)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w.T + b over the last axis of x, for an (out, in) weight as in HF
+    layers: one 2-D GEMM on the rows x2 of x; dW = g2.T @ x2, dx = g2 @ W."""
+    n_out, n_in = w.data.shape
+    if x.data.shape[-1] != n_in or b.data.shape != (n_out,):
+        raise TensorError(f"linear shapes {x.data.shape}, {w.data.shape}, {b.data.shape}")
+    x2 = x.data.reshape(-1, n_in)
+    out = x2 @ w.data.T
+    out += b.data
+    out = out.reshape(*x.data.shape[:-1], n_out)
+
+    def backward(g):
+        g2 = g.reshape(-1, n_out)
+        if x.requires_grad:
+            _accum(x, (g2 @ w.data).reshape(x.data.shape))
+        if w.requires_grad:
+            _accum(w, g2.T @ x2)
+        if b.requires_grad:
+            _accum(b, g2.sum(axis=0))
+
+    return _make(out, (x, w, b), backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, mask_bias: np.ndarray,
+              n_heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention of (B, L, hidden) q, k, v: the
+    scores get `mask_bias` (broadcast to (B, heads, L, L); very negative on
+    pad keys) before the softmax over keys; returns the (B, L, hidden) context."""
+    B, L, h = q.data.shape
+    if k.data.shape != q.data.shape or v.data.shape != q.data.shape or h % n_heads:
+        raise TensorError(f"attention shapes {q.data.shape}, {k.data.shape}, "
+                          f"{v.data.shape} with {n_heads} heads")
+    dh = h // n_heads
+    scale = dh ** -0.5                  # a Python float keeps float32 float32
+
+    def heads(t):
+        return t.reshape(B, L, n_heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(t):
+        return t.transpose(0, 2, 1, 3).reshape(B, L, h)
+
+    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale + mask_bias
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    out = merge(p @ vh)
+
+    def backward(g):
+        gc = heads(g)
+        if v.requires_grad:
+            _accum(v, merge(np.swapaxes(p, -1, -2) @ gc))
+        gp = gc @ np.swapaxes(vh, -1, -2)
+        gs = (gp - (gp * p).sum(axis=-1, keepdims=True)) * (p * scale)
+        if q.requires_grad:
+            _accum(q, merge(gs @ kh))
+        if k.requires_grad:
+            _accum(k, merge(np.swapaxes(gs, -1, -2) @ qh))
+
+    return _make(out, (q, k, v), backward)
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -277,29 +340,42 @@ def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def layer_norm(a: Tensor, weight: Tensor, bias: Tensor, eps: float = LAYER_NORM_EPS) -> Tensor:
-    x = a.data
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat * weight.data + bias.data
+def _layer_norm(xhat: np.ndarray, inputs: tuple, weight: Tensor, bias: Tensor,
+                eps: float) -> Tensor:
+    """LayerNorm of a fresh array holding the sum of the `inputs` (which all
+    get its gradient), normalised in place into `xhat`."""
+    xhat -= xhat.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
+    out = xhat * weight.data
+    out += bias.data
 
     def backward(g):
         if weight.requires_grad:
             _accum(weight, _unbroadcast(g * xhat, weight.data.shape))
         if bias.requires_grad:
             _accum(bias, _unbroadcast(g, bias.data.shape))
-        if a.requires_grad:
+        if any(a.requires_grad for a in inputs):
             gx = g * weight.data
-            n = x.shape[-1]
-            gxc = gx * inv
-            gvar = (gx * xc).sum(axis=-1, keepdims=True) * (-0.5) * inv ** 3
-            gmu = -gxc.sum(axis=-1, keepdims=True) - gvar * 2.0 * xc.mean(axis=-1, keepdims=True)
-            _accum(a, (gxc + gvar * 2.0 * xc / n + gmu / n).astype(x.dtype))
+            ga = inv * (gx - gx.mean(axis=-1, keepdims=True)
+                        - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+            for a in inputs:
+                if a.requires_grad:
+                    _accum(a, ga)
 
-    return _make(out, (a, weight, bias), backward)
+    return _make(out, (*inputs, weight, bias), backward)
+
+
+def layer_norm(a: Tensor, weight: Tensor, bias: Tensor, eps: float = LAYER_NORM_EPS) -> Tensor:
+    return _layer_norm(a.data.copy(), (a,), weight, bias, eps)
+
+
+def add_layer_norm(a: Tensor, b: Tensor, weight: Tensor, bias: Tensor,
+                   eps: float = LAYER_NORM_EPS) -> Tensor:
+    """LayerNorm(a + b) as one node: a residual add followed by LayerNorm."""
+    if a.data.shape != b.data.shape:
+        raise TensorError(f"add_layer_norm shape mismatch: {a.data.shape} + {b.data.shape}")
+    return _layer_norm(a.data + b.data, (a, b), weight, bias, eps)
 
 
 def l2_normalize(a: Tensor) -> Tensor:

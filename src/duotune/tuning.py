@@ -11,6 +11,11 @@ While no text-tower parameter is trainable (always in query-only mode),
 each distinct positive and negative is encoded once per `tune` call and
 steps and validation read those rows; in both-tuned mode the text tower is
 re-encoded every step and every validation pass.
+
+Likewise, each distinct query's activations after the query tower's frozen
+prefix (its leading stages without a trainable parameter; see
+`encode_prefix`) are computed once per `tune` call, and steps and
+validation run only the later blocks.
 """
 
 from __future__ import annotations
@@ -23,8 +28,9 @@ import numpy as np
 from . import tensor as T
 from .tensor import slice_rows as _slice
 from .data import TripletSample
-from .encoder import (DualEncoder, EncoderConfig, Vocab, encode_batch, encode_many,
-                      pad_batch, token_limit, wrap_params)
+from .encoder import (DualEncoder, EncoderConfig, PrefixTable, Vocab, encode_batch,
+                      encode_many, encode_prefix, frozen_stages, pad_batch, token_limit,
+                      wrap_params)
 from .freeze import parse_freeze_spec, trainable_names
 from .optim import (LossSpec, Optimizer, OptimizerSpec, SchedulerSpec,
                     scheduler_value, triplet_margin_loss, triplet_margin_loss_np)
@@ -140,13 +146,15 @@ def _text_rows(leaves: Optional[Dict[str, T.Tensor]], seqs: Sequence[Sequence[in
 
 
 def validate(model: DualEncoder, valid_tokens: Sequence[Tuple[list, list, list]],
-             loss_spec: LossSpec, table: Optional[TextTable] = None) -> Tuple[float, int]:
+             loss_spec: LossSpec, table: Optional[TextTable] = None,
+             prefix: Optional[PrefixTable] = None) -> Tuple[float, int]:
     """(mean triplet loss, count of triplets where the positive is not
     strictly closer than the negative to the anchor). Text rows come from
-    `table` when given (see `_text_rows`)."""
+    `table` when given (see `_text_rows`), anchors start from `prefix`."""
     if not valid_tokens:
         raise TuningError("validation set is empty")
-    anchors = encode_many(model.query_params, [t[0] for t in valid_tokens], model.config)
+    anchors = encode_many(model.query_params, [t[0] for t in valid_tokens], model.config,
+                          prefix=prefix)
     texts = _text_rows(wrap_params(T.Tape(), model.text_params),
                        [t[1] for t in valid_tokens] + [t[2] for t in valid_tokens],
                        model.config, table).data
@@ -206,9 +214,12 @@ def tune(model: DualEncoder, train: Sequence[TripletSample],
     table = None if trainable.get("text") else _text_table(work, train_tok + valid_tok)
     # steps wrap the text tower only while it trains; else its rows come from `table`
     wrapped = list(towers) if table is None else ["query"]
+    stages = frozen_stages(trainable["query"], work.config)
+    prefix = None if stages == 0 else encode_prefix(
+        work.query_params, [t[0] for t in train_tok + valid_tok], work.config, stages)
 
     if validate_fn is None:
-        validate_fn = lambda m: validate(m, valid_tok, cfg.loss, table)
+        validate_fn = lambda m: validate(m, valid_tok, cfg.loss, table, prefix)
 
     optimizer = Optimizer(cfg.optimizer)
     rng = T.Rng(cfg.seed).spawn(1)
@@ -227,7 +238,7 @@ def tune(model: DualEncoder, train: Sequence[TripletSample],
             tape = T.Tape()
             leaves = {side: wrap_params(tape, towers[side], trainable[side]) for side in wrapped}
             anchors = encode_batch(leaves["query"], pad_batch([t[0] for t in batch]),
-                                   work.config)
+                                   work.config, prefix=prefix)
             texts = _text_rows(leaves.get("text"), [t[1] for t in batch] + [t[2] for t in batch],
                                work.config, table)
             n = len(batch)

@@ -147,6 +147,30 @@ def test_config_file_rejects_unknown_keys_and_bad_values(workspace, tmp_path, ca
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--scheduler", "X"),
+    ("--scheduler", "E:abc"),
+    ("--freeze", "wat"),
+    ("--batch-size", "0"),
+    ("--idle-epochs", "0"),
+])
+@pytest.mark.parametrize("source", ["command line", "config file"])
+def test_bad_tune_values_are_usage_errors(workspace, tmp_path, capsys, flag, value, source):
+    p = corpus_paths(workspace)
+    extra = [flag, value]
+    if source == "config file":
+        cfg = tmp_path / "tune.ini"
+        cfg.write_text(f"[tune]\n{flag[2:].replace('-', '_')} = {value}\n")
+        extra = ["--config", str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        main(["tune", "--model", str(p["model"]), "--train", str(p["train"]),
+              "--valid", str(p["valid"]), "--vocab", str(p["vocab"]),
+              "--out", str(tmp_path / "run"), *extra])
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_scaling_rule_applies_to_the_configured_lr(workspace, tmp_path):
     p = corpus_paths(workspace)
     out = tmp_path / "run"

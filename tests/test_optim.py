@@ -147,6 +147,76 @@ def test_negative_lr_rejected():
         OptimizerSpec(lr=-1e-8)
 
 
+def reference_step(spec, state, t, params, grads, lr):
+    """The textbook update of each kind, one fresh array per term."""
+    for name, g in grads.items():
+        w = params[name]
+        st = state.setdefault(name, {})
+        if spec.kind == "sgd":
+            if spec.momentum:
+                v = st.get("v")
+                v = g.copy() if v is None else 0.9 * v + g
+                st["v"] = v
+                upd = lr * v
+            else:
+                upd = lr * g
+            w -= upd.astype(w.dtype)
+        elif spec.kind == "adamw":
+            m = st.get("m", np.zeros_like(w, dtype=np.float64))
+            v = st.get("v", np.zeros_like(w, dtype=np.float64))
+            m = spec.beta1 * m + (1 - spec.beta1) * g
+            v = spec.beta2 * v + (1 - spec.beta2) * (g * g)
+            st["m"], st["v"] = m, v
+            mhat = m / (1 - spec.beta1 ** t)
+            vhat = v / (1 - spec.beta2 ** t)
+            w -= (lr * mhat / (np.sqrt(vhat) + spec.eps)).astype(w.dtype)
+        elif spec.kind == "adamax":
+            b1 = spec.beta1 if spec.momentum else 0.0
+            b2 = spec.beta2 if spec.momentum else 0.0
+            m = st.get("m", np.zeros_like(w, dtype=np.float64))
+            u = st.get("u", np.zeros_like(w, dtype=np.float64))
+            m = b1 * m + (1 - b1) * g
+            u = np.maximum(b2 * u, np.abs(g))
+            st["m"], st["u"] = m, u
+            denom = 1.0 - b1 ** t if b1 > 0 else 1.0
+            w -= (lr / denom * m / (u + spec.eps)).astype(w.dtype)
+        elif spec.kind == "adadelta":
+            eg = st.get("eg", np.zeros_like(w, dtype=np.float64))
+            ed = st.get("ed", np.zeros_like(w, dtype=np.float64))
+            eg = spec.rho * eg + (1 - spec.rho) * (g * g)
+            delta = -np.sqrt(ed + spec.adadelta_eps) / np.sqrt(eg + spec.adadelta_eps) * g
+            ed = spec.rho * ed + (1 - spec.rho) * (delta * delta)
+            st["eg"], st["ed"] = eg, ed
+            w += (lr * delta).astype(w.dtype)
+        if spec.weight_decay != 0.0:
+            w -= (lr * spec.weight_decay * w).astype(w.dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+@pytest.mark.parametrize("momentum", [True, False])
+@pytest.mark.parametrize("kind", ["adamw", "adamax", "adadelta", "sgd"])
+def test_in_place_step_is_bit_identical_to_the_reference_over_300_steps(kind, momentum,
+                                                                        weight_decay, dtype):
+    spec = OptimizerSpec(kind=kind, lr=1e-2, momentum=momentum, weight_decay=weight_decay)
+    rng = np.random.default_rng(17)
+    shapes = {"w": (8, 5), "b": (5,), "frozen": (3,)}
+    params = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
+    ref = {k: v.copy() for k, v in params.items()}
+    opt, ref_state = Optimizer(spec), {}
+    for t in range(1, 301):
+        grads = {k: rng.normal(scale=0.1, size=shapes[k]).astype(dtype) for k in ("w", "b")}
+        lr = 1e-2 / (1 + t % 7)         # a schedule's changing lr
+        opt.step(params, grads, lr=lr)
+        reference_step(spec, ref_state, t, ref, grads, lr)
+    for k in params:
+        assert np.array_equal(params[k], ref[k]), k
+    for k, st in ref_state.items():
+        for key, buf in st.items():
+            assert np.array_equal(opt.state[k][key], buf), (k, key)
+            assert opt.state[k][key].dtype == buf.dtype
+
+
 # --- schedulers --------------------------------------------------------------------
 
 def test_scheduler_value_at_t0_is_lr0():

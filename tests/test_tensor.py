@@ -1,7 +1,9 @@
 """Autodiff core: primitive gradients against a central finite-difference
 oracle, plus the gradient-check harness itself."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -260,3 +262,28 @@ def test_backward_requires_scalar_output():
     leaf = tape.leaf(np.ones(3), param=True)
     with pytest.raises(T.TensorError):
         tape.backward(T.mul(leaf, leaf))
+
+
+def test_trainable_leaves_are_recorded_on_a_live_tape():
+    tape = T.Tape()
+    w = tape.leaf(np.array([1.0, 2.0]), param=True)
+    c = tape.leaf(np.array([3.0, 4.0]))
+    out = T.tsum(T.mul(w, c))
+    assert tape.nodes[0] is w and c not in tape.nodes and out in tape.nodes
+    assert w.tape is tape and out.tape is tape
+    tape.backward(out)
+    assert np.array_equal(w.grad, [3.0, 4.0])
+
+
+def test_a_node_holds_its_tape_weakly():
+    gc.disable()
+    try:
+        tape = T.Tape()
+        w = tape.leaf(np.ones(2), param=True)
+        out = T.tsum(T.mul(w, w))
+        ref = weakref.ref(tape)
+        del tape
+        assert ref() is None        # freed by reference counting, not by gc
+        assert w.tape is None and out.tape is None
+    finally:
+        gc.enable()

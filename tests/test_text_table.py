@@ -53,10 +53,10 @@ def test_query_only_tune_encodes_each_distinct_text_once_per_call(monkeypatch):
     text_rows = Counter()
     real = encoder.encode_batch
 
-    def counting(params, ids, config):
+    def counting(params, ids, config, **kw):
         if np.array_equal(params[WORD_EMB].data, model.text_params[WORD_EMB]):
             text_rows.update(tuple(int(i) for i in row if i) for row in ids)
-        return real(params, ids, config)
+        return real(params, ids, config, **kw)
 
     monkeypatch.setattr(encoder, "encode_batch", counting)
     monkeypatch.setattr(tuning, "encode_batch", counting)
@@ -75,9 +75,9 @@ def _count_tuning_encodes(monkeypatch, mode):
     rows = []
     real = tuning.encode_batch
 
-    def counting(params, ids, config):
+    def counting(params, ids, config, **kw):
         rows.append(len(ids))
-        return real(params, ids, config)
+        return real(params, ids, config, **kw)
 
     monkeypatch.setattr(tuning, "encode_batch", counting)
     cfg = small_config(mode=mode, max_epochs=2, idle_epochs_to_stop=2,
