@@ -24,7 +24,7 @@ from . import lab
 from .encoder import MEASURES, DualEncoder, EncoderConfig, Vocab, load_dual, save_dual
 from .freeze import parse_freeze_spec
 from .grid import CONTRAST_LABELS, PairCorpus, grid_eval
-from .optim import LossSpec, OptimizerSpec, parse_scheduler, scale_lr
+from .optim import LossSpec, OptimError, OptimizerSpec, parse_scheduler, scale_lr
 from .tensor import Rng
 from .tuning import TuneConfig, tune
 
@@ -62,6 +62,15 @@ def _parses(check):
             raise argparse.ArgumentTypeError(str(e)) from None
         return text
     return arg
+
+
+def _scheduler(args, text: str, lr: float):
+    """The SchedulerSpec a --scheduler value names; L and Q need --scheduler-steps."""
+    try:
+        return parse_scheduler(text, lr, args.scheduler_steps)
+    except OptimError as e:
+        raise argparse.ArgumentError(args.tune_flags["scheduler"],
+                                     f"{e}; set --scheduler-steps >= 1") from None
 
 
 def _write(path: Path, text: str) -> None:
@@ -153,7 +162,7 @@ def _tune_config_from_args(args) -> TuneConfig:
         lr = scale_lr(args.base_batch, lr, args.batch_size, args.scaling_rule)
     sched = None
     if args.scheduler not in ("none", "-", ""):
-        sched = parse_scheduler(args.scheduler, lr, args.scheduler_steps)
+        sched = _scheduler(args, args.scheduler, lr)
     return TuneConfig(
         batch_size=args.batch_size, epoch_policy=args.epoch_policy,
         epoch_size=args.epoch_size, idle_epochs_to_stop=args.idle_epochs,
@@ -245,18 +254,20 @@ def cmd_grid_eval(args) -> int:
 
 
 def _sweep_values(args, base: TuneConfig) -> list:
-    """The --values of the swept axis, built as the matching tune flag would
-    be. Freeze specs contain commas, so that axis separates values with ';'."""
-    raw = [v.strip() for v in args.values.split(";" if args.axis == "freeze" else ",")]
-    if args.axis in ("learning_rate", "margin", "weight_decay"):
-        return [float(v) for v in raw]
-    if args.axis in ("batch_size", "stopping"):
-        return [int(float(v)) for v in raw]
+    """The --values of the swept axis, each converted and checked by the type
+    and choices of the matching tune flag. Freeze specs contain commas, so
+    that axis separates values with ';'."""
+    dest = {"learning_rate": "lr", "stopping": "idle_epochs"}.get(args.axis, args.axis)
+    flag = args.tune_flags[dest]
+    check = argparse.ArgumentParser(exit_on_error=False)
+    check.add_argument(flag.option_strings[0], dest="v", type=flag.type, choices=flag.choices)
+    values = [check.parse_args([f"{flag.option_strings[0]}={v.strip()}"]).v
+              for v in args.values.split(";" if args.axis == "freeze" else ",")]
     if args.axis == "optimizer":
-        return [dataclasses.replace(base.optimizer, kind=v) for v in raw]
+        return [dataclasses.replace(base.optimizer, kind=v) for v in values]
     if args.axis == "scheduler":
-        return [parse_scheduler(v, base.optimizer.lr, args.scheduler_steps) for v in raw]
-    return raw
+        return [_scheduler(args, v, base.optimizer.lr) for v in values]
+    return values
 
 
 def cmd_sweep(args) -> int:
@@ -477,7 +488,10 @@ def main(argv=None) -> int:
     if getattr(args, "config", None):
         _apply_config(args.config, args.tune_flags, parser.error)
         args = parser.parse_args(argv)   # with the file's defaults; flags given win
-    return args.func(args)
+    try:
+        return args.func(args)
+    except argparse.ArgumentError as e:     # a sweep value, or a flag checked with another
+        parser.error(str(e))
 
 
 if __name__ == "__main__":

@@ -143,6 +143,9 @@ def _stages(params: Dict[str, T.Tensor], ids: np.ndarray, config: EncoderConfig,
     return x
 
 
+# sequences per forward in evaluation-mode batch encodes
+ENCODE_BATCH = 256
+
 # (boundary stage, token sequence -> (own length, hidden) activations there)
 PrefixTable = Tuple[int, Dict[Tuple[int, ...], np.ndarray]]
 
@@ -193,9 +196,9 @@ def encode_prefix(params: ParamTree, token_lists: Iterable[Sequence[int]],
     leaves, rows = wrap_params(T.Tape(), params), {}
     for _, same_len in groupby(sorted({tuple(s) for s in token_lists}, key=len), key=len):
         seqs = list(same_len)
-        for i in range(0, len(seqs), 256):
-            ids = np.array(seqs[i:i + 256])
-            rows.update(zip(seqs[i:i + 256], _stages(leaves, ids, config, None, 0, stages).data))
+        for i in range(0, len(seqs), ENCODE_BATCH):
+            chunk = seqs[i:i + ENCODE_BATCH]
+            rows.update(zip(chunk, _stages(leaves, np.array(chunk), config, None, 0, stages).data))
     return stages, rows
 
 
@@ -225,15 +228,14 @@ def token_limit(max_len: int, config: EncoderConfig) -> int:
 
 
 def encode_many(params: ParamTree, token_lists: Sequence[Sequence[int]],
-                config: EncoderConfig, batch_size: int = 256,
-                prefix: Optional[PrefixTable] = None) -> np.ndarray:
+                config: EncoderConfig, prefix: Optional[PrefixTable] = None) -> np.ndarray:
     """Evaluation-mode batched encode with right-padding; returns (N, hidden)."""
     if not token_lists:
         return np.zeros((0, config.hidden), dtype=np.float32)
     return np.concatenate([
         encode_batch(wrap_params(T.Tape(), params),
-                     pad_batch(token_lists[start:start + batch_size]), config, prefix=prefix).data
-        for start in range(0, len(token_lists), batch_size)], axis=0)
+                     pad_batch(token_lists[start:start + ENCODE_BATCH]), config, prefix=prefix).data
+        for start in range(0, len(token_lists), ENCODE_BATCH)], axis=0)
 
 
 def similarity(a: np.ndarray, b: np.ndarray, measure: str) -> float:

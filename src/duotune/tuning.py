@@ -7,15 +7,12 @@ The run stops after `idle_epochs_to_stop` consecutive non-improvements and
 returns the checkpoint of the last accepted epoch (or the initial model if
 none was accepted).
 
-While no text-tower parameter is trainable (always in query-only mode),
-each distinct positive and negative is encoded once per `tune` call and
-steps and validation read those rows; in both-tuned mode the text tower is
-re-encoded every step and every validation pass.
-
-Likewise, each distinct query's activations after the query tower's frozen
-prefix (its leading stages without a trainable parameter; see
-`encode_prefix`) are computed once per `tune` call, and steps and
-validation run only the later blocks.
+Each tower's frozen prefix (its leading stages without a trainable
+parameter; see `frozen_stages`) is computed once per `tune` call for each
+distinct sequence the tower reads (see `encode_prefix`), and steps and
+validation run only the later stages. A tower where nothing trains (the
+text tower in query-only mode) is thus encoded once per call, and each
+step only pools its rows.
 """
 
 from __future__ import annotations
@@ -26,11 +23,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import tensor as T
-from .tensor import slice_rows as _slice
 from .data import TripletSample
-from .encoder import (DualEncoder, EncoderConfig, PrefixTable, Vocab, encode_batch,
-                      encode_many, encode_prefix, frozen_stages, pad_batch, token_limit,
-                      wrap_params)
+from .encoder import (DualEncoder, PrefixTable, Vocab, encode_batch, encode_many,
+                      encode_prefix, frozen_stages, pad_batch, token_limit, wrap_params)
 from .freeze import parse_freeze_spec, trainable_names
 from .optim import (LossSpec, Optimizer, OptimizerSpec, SchedulerSpec,
                     scheduler_value, triplet_margin_loss, triplet_margin_loss_np)
@@ -126,38 +121,20 @@ def _tokenize_triplets(samples: Sequence[TripletSample], vocab: Vocab,
     return out
 
 
-TextTable = Dict[Tuple[int, ...], np.ndarray]
-
-
-def _text_table(model: DualEncoder, token_triplets) -> TextTable:
-    """Token sequence -> text-tower row, for every distinct positive and
-    negative in `token_triplets`. Valid only while the text tower is frozen."""
-    seqs = list(dict.fromkeys(tuple(s) for t in token_triplets for s in t[1:]))
-    return dict(zip(seqs, encode_many(model.text_params, seqs, model.config)))
-
-
-def _text_rows(leaves: Optional[Dict[str, T.Tensor]], seqs: Sequence[Sequence[int]],
-               config: EncoderConfig, table: Optional[TextTable]) -> T.Tensor:
-    """Text-tower embeddings of `seqs`: tape-free constant rows of `table`
-    when one is given (`leaves` unused), else a fresh encode through `leaves`."""
-    if table is None:
-        return encode_batch(leaves, pad_batch(seqs), config)
-    return T.Tensor(np.stack([table[tuple(s)] for s in seqs]), None, requires_grad=False)
-
-
 def validate(model: DualEncoder, valid_tokens: Sequence[Tuple[list, list, list]],
-             loss_spec: LossSpec, table: Optional[TextTable] = None,
-             prefix: Optional[PrefixTable] = None) -> Tuple[float, int]:
+             loss_spec: LossSpec,
+             prefixes: Optional[Dict[str, PrefixTable]] = None) -> Tuple[float, int]:
     """(mean triplet loss, count of triplets where the positive is not
-    strictly closer than the negative to the anchor). Text rows come from
-    `table` when given (see `_text_rows`), anchors start from `prefix`."""
+    strictly closer than the negative to the anchor). Each tower's forward
+    starts from its entry of `prefixes` ("query", "text"), when it has one."""
     if not valid_tokens:
         raise TuningError("validation set is empty")
+    prefixes = prefixes or {}
     anchors = encode_many(model.query_params, [t[0] for t in valid_tokens], model.config,
-                          prefix=prefix)
-    texts = _text_rows(wrap_params(T.Tape(), model.text_params),
-                       [t[1] for t in valid_tokens] + [t[2] for t in valid_tokens],
-                       model.config, table).data
+                          prefix=prefixes.get("query"))
+    texts = encode_many(model.text_params,
+                        [t[1] for t in valid_tokens] + [t[2] for t in valid_tokens],
+                        model.config, prefix=prefixes.get("text"))
     pos, neg = np.split(texts, 2)
     losses = triplet_margin_loss_np(anchors, pos, neg, loss_spec.margin)
     dp = np.linalg.norm(anchors - pos, axis=-1)
@@ -200,26 +177,26 @@ def tune(model: DualEncoder, train: Sequence[TripletSample],
 
     work = model.copy()
     spec = parse_freeze_spec(cfg.freeze)
-    towers = {"query": work.query_params}
-    if cfg.mode == "both-tuned":
-        towers["text"] = work.text_params
+    towers = {"query": work.query_params, "text": work.text_params}
+    trained = list(towers) if cfg.mode == "both-tuned" else ["query"]
     # side -> trainable names in tree order; the optimizer steps "side.name"
     # keys. Optimizer steps update the arrays in place, so `params` stays valid.
-    trainable = {side: trainable_names(spec, tree.keys()) for side, tree in towers.items()}
+    trainable = {side: trainable_names(spec, towers[side].keys()) for side in trained}
     params = {f"{side}.{n}": towers[side][n] for side, names in trainable.items() for n in names}
 
     max_len = token_limit(cfg.max_seq_len, model.config)
     train_tok = _tokenize_triplets(train, vocab, max_len)
     valid_tok = _tokenize_triplets(valid, vocab, max_len) if valid else []
-    table = None if trainable.get("text") else _text_table(work, train_tok + valid_tok)
-    # steps wrap the text tower only while it trains; else its rows come from `table`
-    wrapped = list(towers) if table is None else ["query"]
-    stages = frozen_stages(trainable["query"], work.config)
-    prefix = None if stages == 0 else encode_prefix(
-        work.query_params, [t[0] for t in train_tok + valid_tok], work.config, stages)
+    seqs = {"query": [t[0] for t in train_tok + valid_tok],
+            "text": [s for t in train_tok + valid_tok for s in t[1:]]}
+    prefixes = {}
+    for side, tree in towers.items():
+        stages = frozen_stages(trainable.get(side, ()), work.config)
+        if stages:
+            prefixes[side] = encode_prefix(tree, seqs[side], work.config, stages)
 
     if validate_fn is None:
-        validate_fn = lambda m: validate(m, valid_tok, cfg.loss, table, prefix)
+        validate_fn = lambda m: validate(m, valid_tok, cfg.loss, prefixes)
 
     optimizer = Optimizer(cfg.optimizer)
     rng = T.Rng(cfg.seed).spawn(1)
@@ -236,14 +213,16 @@ def tune(model: DualEncoder, train: Sequence[TripletSample],
         for b in range(cfg.batches_per_epoch):
             batch = [train_tok[i] for i in order[b * cfg.batch_size:(b + 1) * cfg.batch_size]]
             tape = T.Tape()
-            leaves = {side: wrap_params(tape, towers[side], trainable[side]) for side in wrapped}
+            leaves = {side: wrap_params(tape, tree, trainable.get(side, ()))
+                      for side, tree in towers.items()}
             anchors = encode_batch(leaves["query"], pad_batch([t[0] for t in batch]),
-                                   work.config, prefix=prefix)
-            texts = _text_rows(leaves.get("text"), [t[1] for t in batch] + [t[2] for t in batch],
-                               work.config, table)
+                                   work.config, prefix=prefixes.get("query"))
+            texts = encode_batch(leaves["text"],
+                                 pad_batch([t[1] for t in batch] + [t[2] for t in batch]),
+                                 work.config, prefix=prefixes.get("text"))
             n = len(batch)
-            pos = _slice(texts, 0, n)
-            neg = _slice(texts, n, 2 * n)
+            pos = T.slice_rows(texts, 0, n)
+            neg = T.slice_rows(texts, n, 2 * n)
             loss = triplet_margin_loss(anchors, pos, neg, cfg.loss)
             if not np.isfinite(loss.item()):
                 raise TuningError(f"non-finite loss at epoch {epoch}, batch {b}")

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from duotune import tensor as T
+from duotune.tensor import slice_rows
 from duotune.cli import main as cli_main
 from duotune.data import (ArxivRecord, SynthCorpusSpec, TripletSample,
                           expand_eval, gen_synth_corpus, js_distance,
@@ -28,7 +29,7 @@ from duotune.lab import evaluate_triplets
 from duotune.metrics import QueryJudgments, pnd, z_test
 from duotune.optim import (LossSpec, Optimizer, OptimizerSpec, SchedulerSpec,
                            scale_lr, scheduler_value, triplet_margin_loss)
-from duotune.tuning import TuneConfig, tune, validate_samples, _slice
+from duotune.tuning import TuneConfig, tune, validate_samples
 
 
 def random_unit(rng, dim):
@@ -59,8 +60,8 @@ def test_c01_autodiff_matches_finite_differences_on_full_encoder_loss():
 
     def f(leaves):
         out = encode_batch(leaves, ids, config)
-        return triplet_margin_loss(_slice(out, 0, 1), _slice(out, 1, 2),
-                                   _slice(out, 2, 3), spec)
+        return triplet_margin_loss(slice_rows(out, 0, 1), slice_rows(out, 1, 2),
+                                   slice_rows(out, 2, 3), spec)
 
     start = time.time()
     err, worst = T.grad_check(f, params, eps=1e-3)

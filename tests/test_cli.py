@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from duotune import cli
 from duotune.cli import _tune_config_from_args, build_parser, main
 from duotune.data import ArxivRecord, read_triplets
 from duotune.tuning import TuneConfig
@@ -153,6 +154,8 @@ def test_config_file_rejects_unknown_keys_and_bad_values(workspace, tmp_path, ca
     ("--freeze", "wat"),
     ("--batch-size", "0"),
     ("--idle-epochs", "0"),
+    ("--scheduler", "L"),                           # without --scheduler-steps
+    ("--scheduler", "Q"),
 ])
 @pytest.mark.parametrize("source", ["command line", "config file"])
 def test_bad_tune_values_are_usage_errors(workspace, tmp_path, capsys, flag, value, source):
@@ -167,7 +170,10 @@ def test_bad_tune_values_are_usage_errors(workspace, tmp_path, capsys, flag, val
               "--valid", str(p["valid"]), "--vocab", str(p["vocab"]),
               "--out", str(tmp_path / "run"), *extra])
     assert exc.value.code == 2
-    assert f"argument {flag}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err
+    if value in ("L", "Q"):
+        assert "--scheduler-steps" in err
     assert not (tmp_path / "run").exists()
 
 
@@ -258,6 +264,29 @@ def test_sweep_over_optimizer_and_scheduler(workspace, tmp_path, axis, values, e
     for name in ("sweep.csv", "plot_data.csv", "grid_counts.csv"):
         labels = list(dict.fromkeys(r[0] for r in read_csv(out / name)[1:]))
         assert labels == values.split(","), name
+
+
+@pytest.mark.parametrize("axis, values, named", [
+    ("batch_size", "4,0", "argument --batch-size"),
+    ("scheduler", "X", "argument --scheduler"),
+    ("scheduler", "L", "--scheduler-steps"),
+    ("stopping", "2,0", "argument --idle-epochs"),
+    ("learning_rate", "1e-3,abc", "argument --lr"),
+    ("optimizer", "sgd,adamww", "argument --optimizer"),
+    ("freeze", "emb;wat", "argument --freeze"),
+])
+def test_bad_sweep_values_are_usage_errors(workspace, tmp_path, capsys, monkeypatch,
+                                           axis, values, named):
+    def no_load(path):
+        raise AssertionError("an input was loaded")
+
+    monkeypatch.setattr(cli, "load_dual", no_load)
+    out = tmp_path / "sweep"
+    with pytest.raises(SystemExit) as exc:
+        sweep(corpus_paths(workspace), out, axis, values)
+    assert exc.value.code == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_diagnose_and_report(workspace, tmp_path, capsys):

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from duotune import tensor as T
+from duotune.tensor import slice_rows
 from duotune.data import TripletSample
 from duotune.encoder import (DualEncoder, EncoderConfig, Vocab, encode_batch,
                              init_params, pad_batch, wrap_params)
 from duotune.grid import PairCorpus, grid_eval
 from duotune.lab import evaluate_triplets
 from duotune.optim import LossSpec, OptimizerSpec, triplet_margin_loss
-from duotune.tuning import TuneConfig, _slice, tune
+from duotune.tuning import TuneConfig, tune
 
 CFG = EncoderConfig(vocab_size=32, hidden=16, n_blocks=2, n_heads=2,
                     intermediate=32, max_positions=16)
@@ -26,7 +27,7 @@ def test_encode_and_gradients_keep_the_parameter_dtype(dtype):
     ids = pad_batch([[3, 4, 5], [6, 7], [8, 9, 10, 11], [12], [2, 13, 14], [15, 16]])
     out = encode_batch(leaves, ids, CFG)
     assert out.dtype == dtype
-    loss = triplet_margin_loss(_slice(out, 0, 2), _slice(out, 2, 4), _slice(out, 4, 6),
+    loss = triplet_margin_loss(slice_rows(out, 0, 2), slice_rows(out, 2, 4), slice_rows(out, 4, 6),
                                LossSpec(margin=0.5))
     assert loss.dtype == dtype
     assert all(node.dtype == dtype for node in tape.nodes)
