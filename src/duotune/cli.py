@@ -26,7 +26,7 @@ from .freeze import parse_freeze_spec
 from .grid import CONTRAST_LABELS, PairCorpus, grid_eval
 from .optim import LossSpec, OptimError, OptimizerSpec, parse_scheduler, scale_lr
 from .tensor import Rng
-from .tuning import TuneConfig, tune
+from .tuning import TuneConfig, TuningError, tune
 
 
 def _apply_config(path, flags, error) -> None:
@@ -45,11 +45,15 @@ def _apply_config(path, flags, error) -> None:
         flag.default = raw
 
 
-def _positive_int(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"{n} is not >= 1")
-    return n
+def _at_least(kind, low):
+    """An argparse type: `kind(text)`, which must be >= `low` (NaN is not)."""
+    def arg(text: str):
+        v = kind(text)
+        if not v >= low:
+            raise argparse.ArgumentTypeError(f"{v} is not >= {low}")
+        return v
+    arg.__name__ = kind.__name__    # argparse's "invalid int value: 'x'"
+    return arg
 
 
 def _parses(check):
@@ -163,13 +167,16 @@ def _tune_config_from_args(args) -> TuneConfig:
     sched = None
     if args.scheduler not in ("none", "-", ""):
         sched = _scheduler(args, args.scheduler, lr)
-    return TuneConfig(
-        batch_size=args.batch_size, epoch_policy=args.epoch_policy,
-        epoch_size=args.epoch_size, idle_epochs_to_stop=args.idle_epochs,
-        max_epochs=args.max_epochs, freeze=args.freeze,
-        optimizer=OptimizerSpec(kind=args.optimizer, lr=lr, weight_decay=args.weight_decay,
-                                momentum=not args.no_momentum),
-        scheduler=sched, loss=LossSpec(margin=args.margin), seed=args.seed, mode=args.mode)
+    try:
+        return TuneConfig(
+            batch_size=args.batch_size, epoch_policy=args.epoch_policy,
+            epoch_size=args.epoch_size, idle_epochs_to_stop=args.idle_epochs,
+            max_epochs=args.max_epochs, freeze=args.freeze,
+            optimizer=OptimizerSpec(kind=args.optimizer, lr=lr, weight_decay=args.weight_decay,
+                                    momentum=not args.no_momentum),
+            scheduler=sched, loss=LossSpec(margin=args.margin), seed=args.seed, mode=args.mode)
+    except TuningError as e:    # the flag types leave only the samples-policy check
+        raise argparse.ArgumentError(args.tune_flags["epoch_size"], str(e)) from None
 
 
 def _run_tune(model_path, train_path, valid_path, vocab_path, cfg: TuneConfig,
@@ -264,13 +271,22 @@ def _sweep_values(args, base: TuneConfig) -> list:
     values = [check.parse_args([f"{flag.option_strings[0]}={v.strip()}"]).v
               for v in args.values.split(";" if args.axis == "freeze" else ",")]
     if args.axis == "optimizer":
-        return [dataclasses.replace(base.optimizer, kind=v) for v in values]
-    if args.axis == "scheduler":
-        return [_scheduler(args, v, base.optimizer.lr) for v in values]
+        values = [dataclasses.replace(base.optimizer, kind=v) for v in values]
+    elif args.axis == "scheduler":
+        values = [_scheduler(args, v, base.optimizer.lr) for v in values]
+    for v in values:
+        try:
+            lab.apply_axis_value(base, args.axis, v)
+        except TuningError as e:    # a batch size against the samples epoch policy
+            raise argparse.ArgumentError(flag, f"{v}: {e}") from None
     return values
 
 
 def cmd_sweep(args) -> int:
+    if args.scaling_rule != "none" and args.axis in ("batch_size", "learning_rate"):
+        raise argparse.ArgumentError(
+            args.tune_flags["scaling_rule"], f"{args.scaling_rule} cannot be used with "
+            f"--axis {args.axis}: a sweep point cannot carry its own scaled lr")
     base = _tune_config_from_args(args)
     values = _sweep_values(args, base)
     model = load_dual(args.model)
@@ -350,9 +366,9 @@ def _add_tune_flags(p: argparse.ArgumentParser) -> None:
     flags = [
         p.add_argument("--freeze", type=_parses(parse_freeze_spec), default=d.freeze,
                        help="freeze spec, e.g. 'emb, B0-5'"),
-        p.add_argument("--lr", type=float, default=d.optimizer.lr),
-        p.add_argument("--batch-size", type=_positive_int, default=d.batch_size),
-        p.add_argument("--margin", type=float, default=d.loss.margin),
+        p.add_argument("--lr", type=_at_least(float, 0), default=d.optimizer.lr),
+        p.add_argument("--batch-size", type=_at_least(int, 1), default=d.batch_size),
+        p.add_argument("--margin", type=_at_least(float, 0), default=d.loss.margin),
         p.add_argument("--optimizer", choices=["adamw", "adamax", "adadelta", "sgd"],
                        default=d.optimizer.kind),
         p.add_argument("--scheduler", type=_parses(lambda t: parse_scheduler(t, 0.0, 1)),
@@ -360,13 +376,13 @@ def _add_tune_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--scheduler-steps", type=int, default=0),
         p.add_argument("--weight-decay", type=float, default=d.optimizer.weight_decay),
         p.add_argument("--scaling-rule", choices=["none", "linear", "sqrt"], default="none"),
-        p.add_argument("--base-batch", type=int, default=14),
+        p.add_argument("--base-batch", type=_at_least(int, 1), default=14),
         p.add_argument("--epoch-policy", choices=["batches", "samples"],
                        default=d.epoch_policy),
-        p.add_argument("--epoch-size", type=int, default=d.epoch_size),
-        p.add_argument("--idle-epochs", type=_positive_int, default=d.idle_epochs_to_stop),
-        p.add_argument("--max-epochs", type=int, default=d.max_epochs),
-        p.add_argument("--seed", type=int, default=d.seed),
+        p.add_argument("--epoch-size", type=_at_least(int, 1), default=d.epoch_size),
+        p.add_argument("--idle-epochs", type=_at_least(int, 1), default=d.idle_epochs_to_stop),
+        p.add_argument("--max-epochs", type=_at_least(int, 0), default=d.max_epochs),
+        p.add_argument("--seed", type=_at_least(int, 0), default=d.seed),
         p.add_argument("--mode", choices=["query-only", "both-tuned"], default=d.mode),
     ]
     p.set_defaults(tune_flags={a.dest: a for a in flags})
@@ -379,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-synth", help="generate a synthetic cipher-language corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(int, 0), default=0)
     p.add_argument("--languages", type=int, default=4)
     p.add_argument("--vocab-size", type=int, default=96, dest="vocab_size")
     p.add_argument("--topics", type=int, default=8)
@@ -393,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("init-model", help="initialize a twin dual encoder")
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(int, 0), default=0)
     p.add_argument("--hidden", type=int, default=64)
     p.add_argument("--blocks", type=int, default=4)
     p.add_argument("--heads", type=int, default=4)
@@ -410,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--max-category-size", type=int, default=10000,
                    dest="max_category_size")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(int, 0), default=0)
     p.set_defaults(func=cmd_mine_arxiv)
 
     p = sub.add_parser("make-triplets", help="triplets from mined negatives")
@@ -459,7 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--axis", choices=list(lab.SWEEP_AXES), required=True)
     p.add_argument("--values", required=True,
-                   help="comma-separated; ';'-separated for --axis freeze")
+                   help="comma-separated; ';'-separated for --axis freeze; write "
+                        "--values=-1e-3,0 when the first value starts with '-'")
     p.add_argument("--eval", action="append", help="name=path, repeatable")
     p.add_argument("--pairs", help="optional grid corpus")
     p.add_argument("--ztest-variant", choices=["paper", "textbook"],

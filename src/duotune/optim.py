@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
 
 from . import tensor as T
-
-DIST_EPS = 1e-12  # inside the sqrt of the pairwise distance, keeps d=0 differentiable
 
 
 class OptimError(ValueError):
@@ -26,24 +24,11 @@ class LossSpec:
             raise OptimError("margin must be >= 0")
 
 
-def pair_distance(a: T.Tensor, b: T.Tensor) -> T.Tensor:
-    """Euclidean distance along the last axis, differentiable at zero."""
-    d = T.sub(a, b)
-    sq = T.tsum(T.mul(d, d), axis=-1)
-    return T.sqrt(T.add(sq, T.constant(np.full(sq.shape, DIST_EPS), sq)))
-
-
 def triplet_margin_loss(anchor: T.Tensor, positive: T.Tensor, negative: T.Tensor,
                         spec: LossSpec = LossSpec()) -> T.Tensor:
-    """mean over the batch of max(0, d(a,p) - d(a,n) + margin).
-
-    Inputs are (..., hidden) unit embeddings; the hinge subgradient at the
-    kink is 0.
-    """
-    dp = pair_distance(anchor, positive)
-    dn = pair_distance(anchor, negative)
-    gap = T.add(T.sub(dp, dn), T.constant(np.full(dp.shape, spec.margin), dp))
-    return T.tmean(T.relu(gap))
+    """mean over the batch of max(0, d(a,p) - d(a,n) + margin), as one tape
+    node (see `tensor.triplet_margin_loss`)."""
+    return T.triplet_margin_loss(anchor, positive, negative, spec.margin)
 
 
 def triplet_margin_loss_np(a: np.ndarray, p: np.ndarray, n: np.ndarray,

@@ -6,8 +6,9 @@ walks it in reverse. Parameters are ordinary numpy arrays wrapped into leaf
 nodes per pass, so optimizers stay tape-free.
 
 A node holds its tape weakly, so a pass's graph is freed when the caller
-drops the tape. The fused ops `linear`, `attention` and `add_layer_norm` are
-one node each, with a hand-written backward, in place of primitive chains.
+drops the tape. The fused ops `linear`, `attention`, `add_layer_norm` and
+`triplet_margin_loss` are one node each, with a hand-written backward, in
+place of primitive chains.
 
 Training runs at float32 by default; gradient checks use float64.
 """
@@ -22,6 +23,7 @@ import numpy as np
 from scipy.special import erf
 
 LAYER_NORM_EPS = 1e-12
+DIST_EPS = 1e-12  # inside the sqrt of a triplet distance, keeps d=0 differentiable
 # Python floats: under NumPy 2 a float64 scalar promotes float32 arrays.
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -152,11 +154,6 @@ def _make(data, parents, backward):
     return Tensor(data, tape, req, parents if req else (), backward if req else None)
 
 
-def constant(data, like: Tensor) -> Tensor:
-    """Non-differentiable value on the same tape/dtype as `like`."""
-    return Tensor(np.asarray(data, dtype=like.dtype), like.tape, requires_grad=False)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
@@ -165,18 +162,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             _accum(a, _unbroadcast(g, a.data.shape))
         if b.requires_grad:
             _accum(b, _unbroadcast(g, b.data.shape))
-
-    return _make(out, (a, b), backward)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data - b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g, b.data.shape))
 
     return _make(out, (a, b), backward)
 
@@ -296,25 +281,6 @@ def gelu(a: Tensor) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def relu(a: Tensor) -> Tensor:
-    # subgradient at 0 is 0
-    out = np.maximum(a.data, 0)
-
-    def backward(g):
-        _accum(a, g * (a.data > 0))
-
-    return _make(out, (a,), backward)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    out = np.sqrt(a.data)
-
-    def backward(g):
-        _accum(a, g * (0.5 / out))
-
-    return _make(out, (a,), backward)
-
-
 def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
     out = a.data.sum(axis=axis, keepdims=keepdims)
 
@@ -323,19 +289,6 @@ def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         _accum(a, np.broadcast_to(g, a.data.shape).astype(a.dtype))
-
-    return _make(out, (a,), backward)
-
-
-def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    n = a.data.size if axis is None else a.data.shape[axis]
-    out = a.data.mean(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(a, (np.broadcast_to(g, a.data.shape) / n).astype(a.dtype))
 
     return _make(out, (a,), backward)
 
@@ -389,6 +342,37 @@ def l2_normalize(a: Tensor) -> Tensor:
         _accum(a, ((g - out * dot) / norm).astype(a.dtype))
 
     return _make(out, (a,), backward)
+
+
+def triplet_margin_loss(anchor: Tensor, positive: Tensor, negative: Tensor,
+                        margin: float) -> Tensor:
+    """mean(max(0, d(a, p) - d(a, n) + margin)) over (..., hidden) inputs of
+    one shape, with d(a, x) = sqrt(sum((a - x)^2) + DIST_EPS) along the last
+    axis, as one node. The hinge subgradient at the kink is 0."""
+    if positive.data.shape != anchor.data.shape or negative.data.shape != anchor.data.shape:
+        raise TensorError(f"triplet_margin_loss shapes {anchor.data.shape}, "
+                          f"{positive.data.shape}, {negative.data.shape}")
+    diff_p, diff_n = anchor.data - positive.data, anchor.data - negative.data
+    dp = np.sqrt((diff_p * diff_p).sum(axis=-1) + DIST_EPS)
+    dn = np.sqrt((diff_n * diff_n).sum(axis=-1) + DIST_EPS)
+    gap = dp - dn + dp.dtype.type(margin)
+    out = np.maximum(gap, 0).mean()
+
+    def backward(g):
+        g_dp = g / gap.size * (gap > 0)                 # and -g_dp for dn
+        # The negative's term reaches the anchor first, and each term rounds as
+        # in the op-by-op form of this loss, so earlier result digests hold.
+        for x, diff, dist, g_dist in ((negative, diff_n, dn, -g_dp),
+                                      (positive, diff_p, dp, g_dp)):
+            if anchor.requires_grad or x.requires_grad:
+                g_diff = (g_dist * (0.5 / dist))[..., None] * diff
+                g_diff = g_diff + g_diff                # diff * diff has two factors
+                if anchor.requires_grad:
+                    _accum(anchor, g_diff)
+                if x.requires_grad:
+                    _accum(x, -g_diff)
+
+    return _make(out, (anchor, positive, negative), backward)
 
 
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:

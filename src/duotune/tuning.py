@@ -17,7 +17,7 @@ step only pools its rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,12 +53,24 @@ class TuneConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise TuningError("batch_size must be >= 1")
+        if self.epoch_size < 1:
+            raise TuningError("epoch_size must be >= 1")
         if self.idle_epochs_to_stop < 1:
             raise TuningError("idle_epochs_to_stop must be >= 1")
+        if self.max_epochs < 0:
+            raise TuningError("max_epochs must be >= 0")
+        if self.seed < 0:
+            raise TuningError("seed must be >= 0")
         if self.epoch_policy not in ("batches", "samples"):
             raise TuningError(f"unknown epoch policy {self.epoch_policy!r}")
+        if self.epoch_policy == "samples" and self.epoch_size < self.batch_size:
+            raise TuningError(f"epoch_size {self.epoch_size} is smaller than one batch "
+                              f"of {self.batch_size} under the samples epoch policy")
         if self.mode not in ("query-only", "both-tuned"):
             raise TuningError(f"unknown mode {self.mode!r}")
+        if self.scheduler is not None:     # a schedule starts from the optimizer's lr
+            object.__setattr__(self, "scheduler",
+                               replace(self.scheduler, lr0=self.optimizer.lr))
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -81,10 +93,7 @@ class TuneConfig:
     def batches_per_epoch(self) -> int:
         if self.epoch_policy == "batches":
             return self.epoch_size
-        n = self.epoch_size // self.batch_size
-        if n < 1:
-            raise TuningError("epoch_size smaller than one batch")
-        return n
+        return self.epoch_size // self.batch_size
 
 
 @dataclass

@@ -27,3 +27,8 @@ def tiny_model(tiny_config):
 def random_unit(rng: np.random.Generator, dim: int = 8) -> np.ndarray:
     v = rng.normal(size=dim)
     return v / np.linalg.norm(v)
+
+
+def constant(data, like: T.Tensor) -> T.Tensor:
+    """A value that takes no gradient, in `like`'s dtype."""
+    return T.Tensor(np.asarray(data, dtype=like.dtype), None, requires_grad=False)

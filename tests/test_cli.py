@@ -156,6 +156,12 @@ def test_config_file_rejects_unknown_keys_and_bad_values(workspace, tmp_path, ca
     ("--idle-epochs", "0"),
     ("--scheduler", "L"),                           # without --scheduler-steps
     ("--scheduler", "Q"),
+    ("--lr", "-1"),
+    ("--margin", "-1"),
+    ("--base-batch", "0"),
+    ("--epoch-size", "0"),
+    ("--max-epochs", "-2"),
+    ("--seed", "-1"),
 ])
 @pytest.mark.parametrize("source", ["command line", "config file"])
 def test_bad_tune_values_are_usage_errors(workspace, tmp_path, capsys, flag, value, source):
@@ -175,6 +181,38 @@ def test_bad_tune_values_are_usage_errors(workspace, tmp_path, capsys, flag, val
     if value in ("L", "Q"):
         assert "--scheduler-steps" in err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("source", ["command line", "config file"])
+def test_samples_epoch_shorter_than_a_batch_is_a_usage_error(workspace, tmp_path, capsys,
+                                                             source):
+    p = corpus_paths(workspace)
+    extra = ["--epoch-policy", "samples", "--epoch-size", "3"]
+    if source == "config file":
+        cfg = tmp_path / "tune.ini"
+        cfg.write_text("[tune]\nepoch_policy = samples\nepoch_size = 3\n")
+        extra = ["--config", str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        main(["tune", "--model", str(p["model"]), "--train", str(p["train"]),
+              "--valid", str(p["valid"]), "--vocab", str(p["vocab"]),
+              "--out", str(tmp_path / "run"), *extra])
+    assert exc.value.code == 2
+    assert "argument --epoch-size" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("cmd, args", [
+    ("gen-synth", []),
+    ("init-model", ["--vocab", "vocab.txt"]),
+    ("mine-arxiv", ["--input", "arxiv.jsonl"]),
+])
+def test_negative_seeds_are_usage_errors(tmp_path, capsys, cmd, args):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, *args, "--out", str(out), "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_scaling_rule_applies_to_the_configured_lr(workspace, tmp_path):
@@ -228,9 +266,10 @@ def test_sweep_emits_reports(workspace, tmp_path):
 
 
 def sweep(p, out, axis, values, *extra):
+    # --values=…, the form that also takes a first value starting with '-'
     return main(["sweep", "--model", str(p["model"]), "--train", str(p["train"]),
                  "--valid", str(p["valid"]), "--vocab", str(p["vocab"]),
-                 "--axis", axis, "--values", values, "--eval", f"heldout={p['evals']}",
+                 "--axis", axis, f"--values={values}", "--eval", f"heldout={p['evals']}",
                  "--out", str(out), "--batch-size", "4", "--epoch-size", "2",
                  "--idle-epochs", "2", "--max-epochs", "2", "--seed", "0", *extra])
 
@@ -266,6 +305,20 @@ def test_sweep_over_optimizer_and_scheduler(workspace, tmp_path, axis, values, e
         assert labels == values.split(","), name
 
 
+def assert_sweep_usage_error(workspace, tmp_path, capsys, monkeypatch, axis, values, named,
+                             *extra):
+    def no_load(path):
+        raise AssertionError("an input was loaded")
+
+    monkeypatch.setattr(cli, "load_dual", no_load)
+    out = tmp_path / "sweep"
+    with pytest.raises(SystemExit) as exc:
+        sweep(corpus_paths(workspace), out, axis, values, *extra)
+    assert exc.value.code == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("axis, values, named", [
     ("batch_size", "4,0", "argument --batch-size"),
     ("scheduler", "X", "argument --scheduler"),
@@ -274,19 +327,27 @@ def test_sweep_over_optimizer_and_scheduler(workspace, tmp_path, axis, values, e
     ("learning_rate", "1e-3,abc", "argument --lr"),
     ("optimizer", "sgd,adamww", "argument --optimizer"),
     ("freeze", "emb;wat", "argument --freeze"),
+    ("learning_rate", "-1e-3,0", "argument --lr"),
+    ("margin", "-0.1", "argument --margin"),
 ])
 def test_bad_sweep_values_are_usage_errors(workspace, tmp_path, capsys, monkeypatch,
                                            axis, values, named):
-    def no_load(path):
-        raise AssertionError("an input was loaded")
+    assert_sweep_usage_error(workspace, tmp_path, capsys, monkeypatch, axis, values, named)
 
-    monkeypatch.setattr(cli, "load_dual", no_load)
-    out = tmp_path / "sweep"
-    with pytest.raises(SystemExit) as exc:
-        sweep(corpus_paths(workspace), out, axis, values)
-    assert exc.value.code == 2
-    assert named in capsys.readouterr().err
-    assert not out.exists()
+
+@pytest.mark.parametrize("axis, values, extra, named", [
+    ("batch_size", "7,28", ["--scaling-rule", "linear"],
+     "argument --scaling-rule: linear cannot be used with --axis batch_size"),
+    ("learning_rate", "1e-3", ["--scaling-rule", "sqrt"],
+     "argument --scaling-rule: sqrt cannot be used with --axis learning_rate"),
+    ("batch_size", "4,28", ["--epoch-policy", "samples", "--epoch-size", "20"],
+     "argument --batch-size: 28"),
+])
+def test_sweep_values_against_other_flags_are_usage_errors(workspace, tmp_path, capsys,
+                                                           monkeypatch, axis, values,
+                                                           extra, named):
+    assert_sweep_usage_error(workspace, tmp_path, capsys, monkeypatch, axis, values, named,
+                             *extra)
 
 
 def test_diagnose_and_report(workspace, tmp_path, capsys):

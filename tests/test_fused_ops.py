@@ -1,11 +1,14 @@
 """Fused tensor ops: float64 finite-difference gradient checks, and float32
-equivalence with the primitive node chains they replace."""
+equivalence with the primitive node chains they replace (the triplet loss is
+checked against its NumPy formula instead)."""
 
 import numpy as np
 import pytest
 
 from duotune import tensor as T
 from duotune.encoder import ATTENTION_MASK_BIAS
+from duotune.optim import triplet_margin_loss_np
+from tests.conftest import constant
 
 B, L, H, HEADS = 2, 4, 6, 2
 
@@ -13,7 +16,7 @@ B, L, H, HEADS = 2, 4, 6, 2
 def weighted_sum(out: T.Tensor, seed: int = 0) -> T.Tensor:
     """A scalar that depends on every output entry differently."""
     w = np.random.default_rng(seed).uniform(0.5, 1.5, size=out.shape)
-    return T.tsum(T.mul(out, T.constant(w, out)))
+    return T.tsum(T.mul(out, constant(w, out)))
 
 
 def mask_bias(dtype=np.float64) -> np.ndarray:
@@ -37,8 +40,8 @@ def attention_chain(q, k, v, bias, n_heads):
         return T.transpose(T.reshape(t, (b_, l_, n_heads, dh)), (0, 2, 1, 3))
 
     scores = T.matmul(heads(q), T.transpose(heads(k), (0, 1, 3, 2)))
-    scores = T.mul(scores, T.constant(dh ** -0.5, scores))
-    scores = T.add(scores, T.constant(bias, scores))
+    scores = T.mul(scores, constant(dh ** -0.5, scores))
+    scores = T.add(scores, constant(bias, scores))
     ctx = T.matmul(T.softmax(scores), heads(v))
     return T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b_, l_, h))
 
@@ -98,6 +101,27 @@ def test_add_layer_norm_gradients():
     vals = inputs({"a": (2, 3, 5), "b": (2, 3, 5), "w": (5,), "bias": (5,)}, 4)
     vals["w"] += 1.5                    # keep the scale away from zero
     check_each_input_frozen_in_turn(T.add_layer_norm, vals)
+
+
+def test_triplet_margin_loss_gradients():
+    vals = inputs({"a": (5, 6), "p": (5, 6), "n": (5, 6)}, 11)
+    check_each_input_frozen_in_turn(lambda a, p, n: T.triplet_margin_loss(a, p, n, 0.3), vals)
+
+
+def test_triplet_margin_loss_is_one_node_with_the_reference_value():
+    rng = np.random.default_rng(12)
+    a, p, n = (rng.normal(size=(7, 16)) for _ in range(3))
+    a, p, n = (x / np.linalg.norm(x, axis=-1, keepdims=True) for x in (a, p, n))
+    p[:3] = a[:3]                       # d(a, p) = 0 must stay differentiable
+    tape = T.Tape()
+    leaves = [tape.leaf(x.astype(np.float32), param=True) for x in (a, p, n)]
+    loss = T.triplet_margin_loss(*leaves, 0.5)
+    assert len(tape.nodes) == 4 and tape.nodes[-1] is loss
+    assert loss.item() == pytest.approx(triplet_margin_loss_np(a, p, n, 0.5).mean(), rel=1e-6)
+    tape.backward(loss)
+    grads = [leaf.grad for leaf in leaves]
+    assert all(g.dtype == np.float32 and np.isfinite(g).all() for g in grads)
+    assert not grads[1][:3].any()
 
 
 # --- float32 equivalence with the chains ----------------------------------------
@@ -174,3 +198,5 @@ def test_fused_ops_reject_mismatched_shapes():
     with pytest.raises(T.TensorError):
         T.add_layer_norm(x, tape.leaf(np.ones((3, 3))), tape.leaf(np.ones(3)),
                          tape.leaf(np.zeros(3)))
+    with pytest.raises(T.TensorError):
+        T.triplet_margin_loss(x, x, tape.leaf(np.ones((1, 3))), 0.1)

@@ -90,8 +90,8 @@ def test_apply_axis_value_covers_every_axis():
     assert apply_axis_value(cfg, "batch_size", 7).batch_size == 7
     assert apply_axis_value(cfg, "margin", 0.3).loss.margin == 0.3
     assert apply_axis_value(cfg, "freeze", "-").freeze == "-"
-    sched = SchedulerSpec("E", lr0=1e-3)
-    assert apply_axis_value(cfg, "scheduler", sched).scheduler == sched
+    sched = SchedulerSpec("E", lr0=5e-8)     # lr0 follows the optimizer's lr
+    assert apply_axis_value(cfg, "scheduler", sched).scheduler == SchedulerSpec("E", lr0=1e-3)
     opt = OptimizerSpec(kind="sgd", lr=1e-3)
     assert apply_axis_value(cfg, "optimizer", opt).optimizer == opt
     assert apply_axis_value(cfg, "weight_decay", 0.1).optimizer.weight_decay == 0.1
@@ -145,6 +145,15 @@ def test_sweep_has_one_row_per_value_dataset_measure():
     for pt in report.points:
         keys = {(r.dataset, r.measure) for r in pt.rows}
         assert keys == {("topics", "cosine"), ("topics", "euclidean")}
+
+
+def test_learning_rate_points_under_a_scheduler_differ():
+    model, train, valid, spec = sweep_fixture([1e-4, 1e-1],
+                                              scheduler=SchedulerSpec("E", gamma=0.9))
+    cfgs = [apply_axis_value(spec.base, "learning_rate", v) for v in spec.values]
+    assert [c.scheduler.lr0 for c in cfgs] == [1e-4, 1e-1]
+    low, high = (pt.record for pt in run_sweep(model, train, valid, VOCAB, spec).points)
+    assert low.to_dict() != high.to_dict()
 
 
 def test_single_value_sweep_equals_a_single_run():

@@ -1,9 +1,13 @@
 """Autodiff core: primitive gradients against a central finite-difference
-oracle, plus the gradient-check harness itself."""
+oracle, the gradient-check harness itself, and a guard against ops that only
+tests call."""
 
+import ast
 import gc
+import inspect
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duotune import tensor as T
+from tests.conftest import constant
 
 
 def fd_grad(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -78,22 +83,19 @@ def test_l2_normalize_of_zero_vector_is_an_error():
 def _weighted_softmax(t):
     # plain sum of a softmax is constant 1; weight the entries so the
     # reduction actually depends on the input
-    w = T.constant(np.arange(1, t.data.size + 1, dtype=np.float64).reshape(t.shape), t)
+    w = constant(np.arange(1, t.data.size + 1, dtype=np.float64).reshape(t.shape), t)
     return T.mul(T.softmax(t), w)
 
 
 UNARY_OPS = {
     "softmax": _weighted_softmax,
     "gelu": T.gelu,
-    "sqrt": lambda t: T.sqrt(T.add(T.mul(t, t), T.constant(np.full(t.shape, 0.5), t))),
     "tsum": lambda t: T.tsum(t, axis=-1),
-    "tmean": lambda t: T.tmean(t, axis=-1),
     "l2_normalize": T.l2_normalize,
-    "relu_shifted": lambda t: T.relu(T.add(t, T.constant(np.full(t.shape, 0.1), t))),
     "reshape": lambda t: T.reshape(t, (t.data.size,)),
     "transpose": lambda t: T.transpose(t, (1, 0)),
     "slice_rows": lambda t: T.mul(T.slice_rows(t, 1, 3),
-                                  T.constant(np.arange(1, 9, dtype=np.float64).reshape(2, 4), t)),
+                                  constant(np.arange(1, 9, dtype=np.float64).reshape(2, 4), t)),
 }
 
 
@@ -114,7 +116,7 @@ def test_unary_primitive_gradients(name):
     assert rel_err(ana, num) < 1e-6
 
 
-@pytest.mark.parametrize("binop", [T.add, T.sub, T.mul])
+@pytest.mark.parametrize("binop", [T.add, T.mul])
 def test_binary_primitive_gradients_with_broadcast(binop):
     rng = np.random.default_rng(11)
     a = rng.uniform(-2, 2, size=(3, 4))
@@ -217,7 +219,7 @@ def test_grad_check_quadratic():
 
 def test_grad_check_constant_function_gives_zero_gradients():
     def f(leaves):
-        c = T.constant(np.zeros(2), leaves["w"])
+        c = constant(np.zeros(2), leaves["w"])
         return T.tsum(T.mul(c, c))
 
     err, _ = T.grad_check(f, {"w": np.array([1.0, 2.0])}, eps=1e-3)
@@ -287,3 +289,30 @@ def test_a_node_holds_its_tape_weakly():
         assert w.tape is None and out.tape is None
     finally:
         gc.enable()
+
+
+# --- no dead ops ----------------------------------------------------------------
+
+# Kept in `tensor` although only tests call them: the primitive chains the
+# fused ops are checked against, and the finite-difference oracle.
+TEST_REFERENCES = {"matmul", "softmax", "layer_norm", "reshape", "transpose", "grad_check"}
+
+
+def test_every_public_tensor_function_has_a_caller_in_src():
+    public = {name for name, f in vars(T).items() if inspect.isfunction(f)
+              and f.__module__ == T.__name__ and not name.startswith("_")}
+    used = set()
+    for path in Path(T.__file__).parent.glob("*.py"):
+        if path.name == "tensor.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module in ("tensor", "duotune.tensor"):
+                used.update(a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                aliases.update(a.asname or a.name for a in node.names if a.name == "tensor")
+        used.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name) and node.value.id in aliases)
+    assert TEST_REFERENCES <= public
+    assert public - used - TEST_REFERENCES == set()

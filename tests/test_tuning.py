@@ -61,6 +61,11 @@ def test_config_validation():
         TuneConfig(idle_epochs_to_stop=0)
     with pytest.raises(TuningError):
         TuneConfig(epoch_policy="sideways")
+    for bad in (dict(epoch_size=0), dict(max_epochs=-1), dict(seed=-1),
+                dict(epoch_policy="samples", epoch_size=13, batch_size=14)):
+        with pytest.raises(TuningError):
+            TuneConfig(**bad)
+    assert TuneConfig(max_epochs=0).max_epochs == 0
 
 
 def test_config_dict_roundtrip():
