@@ -21,9 +21,10 @@ from pathlib import Path
 
 from . import data as D
 from . import lab
-from .encoder import MEASURES, DualEncoder, EncoderConfig, Vocab, load_dual, save_dual
+from .encoder import (MEASURES, DualEncoder, EncoderConfig, EncoderError, Vocab, load_dual,
+                      save_dual)
 from .freeze import parse_freeze_spec
-from .grid import CONTRAST_LABELS, PairCorpus, grid_eval
+from .grid import CONTRAST_LABELS, PairCorpus, grid_reports
 from .optim import LossSpec, OptimError, OptimizerSpec, parse_scheduler, scale_lr
 from .tensor import Rng
 from .tuning import TuneConfig, TuningError, tune
@@ -90,11 +91,15 @@ def _measures(arg: str):
 # --- subcommand implementations ----------------------------------------------
 
 def cmd_gen_synth(args) -> int:
-    spec = D.SynthCorpusSpec(
-        n_languages=args.languages, vocab_size=args.vocab_size,
-        n_topics=args.topics, sentence_len=args.sentence_len,
-        n_pretrain=args.pretrain, n_tune=args.tune, n_heldout=args.heldout,
-        n_pairs_per_label=args.pairs_per_label, seed=args.seed)
+    try:
+        spec = D.SynthCorpusSpec(
+            n_languages=args.languages, vocab_size=args.vocab_size,
+            n_topics=args.topics, sentence_len=args.sentence_len,
+            n_pretrain=args.pretrain, n_tune=args.tune, n_heldout=args.heldout,
+            n_pairs_per_label=args.pairs_per_label, seed=args.seed)
+    except D.DataError as e:    # the flag types leave only the vocab/topics check
+        raise argparse.ArgumentError(
+            None, f"--vocab-size {args.vocab_size} with --topics {args.topics}: {e}") from None
     corpus = D.gen_synth_corpus(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -114,10 +119,14 @@ def cmd_gen_synth(args) -> int:
 
 def cmd_init_model(args) -> int:
     vocab = Vocab.load(args.vocab)
-    config = EncoderConfig(vocab_size=len(vocab), hidden=args.hidden,
-                           n_blocks=args.blocks, n_heads=args.heads,
-                           intermediate=4 * args.hidden,
-                           max_positions=args.max_positions)
+    try:
+        config = EncoderConfig(vocab_size=len(vocab), hidden=args.hidden,
+                               n_blocks=args.blocks, n_heads=args.heads,
+                               intermediate=4 * args.hidden,
+                               max_positions=args.max_positions)
+    except EncoderError as e:   # the flag types leave only the hidden/heads check
+        raise argparse.ArgumentError(
+            None, f"--hidden {args.hidden} with --heads {args.heads}: {e}") from None
     model = DualEncoder.twin_init(config, Rng(args.seed))
     save_dual(model, args.out)
     print(f"initialized twin dual encoder at {args.out}")
@@ -249,11 +258,9 @@ def cmd_grid_eval(args) -> int:
     corpus = PairCorpus.load(args.pairs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for m in _measures(args.measure):
-        report = grid_eval(model, corpus, m, vocab)
+    for m, report in grid_reports(model, corpus, _measures(args.measure), vocab).items():
         for contrast in CONTRAST_LABELS:
-            _write(out / f"grid_{m}_{contrast}.csv",
-                   lab.grid_matrix_csv(report, contrast))
+            _write(out / f"grid_{m}_{contrast}.csv", lab.grid_matrix_csv(report, contrast))
         print(f"{m}: averaged PND ent-vs-neutral "
               f"{report.averaged_pnd('neutral'):.4f}, ent-vs-contradiction "
               f"{report.averaged_pnd('contradiction'):.4f}")
@@ -374,7 +381,8 @@ def _add_tune_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--scheduler", type=_parses(lambda t: parse_scheduler(t, 0.0, 1)),
                        default="none", help="none | L | Q | E | E:{gamma}"),
         p.add_argument("--scheduler-steps", type=int, default=0),
-        p.add_argument("--weight-decay", type=float, default=d.optimizer.weight_decay),
+        p.add_argument("--weight-decay", type=_at_least(float, 0),
+                       default=d.optimizer.weight_decay),
         p.add_argument("--scaling-rule", choices=["none", "linear", "sqrt"], default="none"),
         p.add_argument("--base-batch", type=_at_least(int, 1), default=14),
         p.add_argument("--epoch-policy", choices=["batches", "samples"],
@@ -396,24 +404,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-synth", help="generate a synthetic cipher-language corpus")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_at_least(int, 0), default=0)
-    p.add_argument("--languages", type=int, default=4)
-    p.add_argument("--vocab-size", type=int, default=96, dest="vocab_size")
-    p.add_argument("--topics", type=int, default=8)
-    p.add_argument("--sentence-len", type=int, default=8, dest="sentence_len")
-    p.add_argument("--pretrain", type=int, default=400)
-    p.add_argument("--tune", type=int, default=400)
-    p.add_argument("--heldout", type=int, default=200)
-    p.add_argument("--pairs-per-label", type=int, default=30, dest="pairs_per_label")
+    p.add_argument("--languages", type=_at_least(int, 1), default=4)
+    p.add_argument("--vocab-size", type=_at_least(int, 1), default=96, dest="vocab_size")
+    p.add_argument("--topics", type=_at_least(int, 1), default=8)
+    p.add_argument("--sentence-len", type=_at_least(int, 1), default=8, dest="sentence_len")
+    p.add_argument("--pretrain", type=_at_least(int, 0), default=400)
+    p.add_argument("--tune", type=_at_least(int, 0), default=400)
+    p.add_argument("--heldout", type=_at_least(int, 0), default=200)
+    p.add_argument("--pairs-per-label", type=_at_least(int, 0), default=30,
+                   dest="pairs_per_label")
     p.set_defaults(func=cmd_gen_synth)
 
     p = sub.add_parser("init-model", help="initialize a twin dual encoder")
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_at_least(int, 0), default=0)
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--blocks", type=int, default=4)
-    p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--max-positions", type=int, default=64, dest="max_positions")
+    p.add_argument("--hidden", type=_at_least(int, 1), default=64)
+    p.add_argument("--blocks", type=_at_least(int, 1), default=4)
+    p.add_argument("--heads", type=_at_least(int, 1), default=4)
+    p.add_argument("--max-positions", type=_at_least(int, 1), default=64, dest="max_positions")
     p.set_defaults(func=cmd_init_model)
 
     p = sub.add_parser("split", help="split triplets into train/valid/eval")

@@ -42,6 +42,9 @@ class EncoderConfig:
     n_token_types: int = 2
 
     def __post_init__(self):
+        small = [k for k, v in asdict(self).items() if v < 1]
+        if small:
+            raise EncoderError(f"sizes must be >= 1: {', '.join(small)}")
         if self.hidden % self.n_heads != 0:
             raise EncoderError("hidden must be divisible by n_heads")
 
@@ -220,11 +223,6 @@ def pad_batch(token_lists: Sequence[Sequence[int]]) -> np.ndarray:
     for r, toks in enumerate(token_lists):
         ids[r, :len(toks)] = toks
     return ids
-
-
-def token_limit(max_len: int, config: EncoderConfig) -> int:
-    """Truncation length for text fed to a model with `config`."""
-    return min(max_len, config.max_positions)
 
 
 def encode_many(params: ParamTree, token_lists: Sequence[Sequence[int]],

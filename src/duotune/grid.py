@@ -11,7 +11,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .encoder import DualEncoder, Vocab, encode_many, measure_from_dots, token_limit
+from .encoder import DualEncoder, Vocab, encode_many, measure_from_dots
 from .metrics import count_errors, z_test
 
 LABELS = ("entailment", "neutral", "contradiction")
@@ -100,38 +100,39 @@ class PairGridReport:
         return float(self.errors[contrast].mean() / self.cell_total)
 
 
-def grid_eval(model: DualEncoder, corpus: PairCorpus, measure: str,
-              vocab: Vocab, max_len: int = 64) -> PairGridReport:
-    """Error counts per language-pair cell, full cross product of entailment
-    vs contrast pairs. sentence1 goes through the query encoder."""
+def grid_reports(model: DualEncoder, corpus: PairCorpus, measures: Sequence[str],
+                 vocab: Vocab) -> Dict[str, PairGridReport]:
+    """Per-cell error counts under each of `measures`: the full cross product of
+    entailment vs contrast pairs, sentence1 through the query encoder. One
+    `encode_many` call per (label, language, side) group serves every measure;
+    groups stay apart, as padding a row into a longer batch can change it."""
     K = len(corpus.languages)
-    n = corpus.n_per_label
-    max_len = token_limit(max_len, model.config)
-
-    # each sentence is encoded once per (language, side)
-    emb_q: Dict[Tuple[str, str], np.ndarray] = {}
-    emb_t: Dict[Tuple[str, str], np.ndarray] = {}
+    max_len = model.config.max_positions
+    emb: Dict[Tuple[int, str, str], np.ndarray] = {}   # (side, label, language)
     for lbl in LABELS:
         for lang in corpus.languages:
-            s1 = [pair[lang][0] for pair in corpus.pairs[lbl]]
-            s2 = [pair[lang][1] for pair in corpus.pairs[lbl]]
-            emb_q[(lbl, lang)] = encode_many(
-                model.query_params, [vocab.encode(t, max_len) for t in s1], model.config)
-            emb_t[(lbl, lang)] = encode_many(
-                model.text_params, [vocab.encode(t, max_len) for t in s2], model.config)
+            for side, params in enumerate((model.query_params, model.text_params)):
+                toks = [vocab.encode(pair[lang][side], max_len) for pair in corpus.pairs[lbl]]
+                emb[(side, lbl, lang)] = encode_many(params, toks, model.config).astype(np.float64)
 
-    def pair_sims(lbl: str, lq: str, lt: str) -> np.ndarray:
-        a = emb_q[(lbl, lq)].astype(np.float64)
-        b = emb_t[(lbl, lt)].astype(np.float64)
-        return measure_from_dots(np.sum(a * b, axis=1), measure)
-
-    errors = {c: np.zeros((K, K), dtype=np.int64) for c in CONTRAST_LABELS}
+    reports = {m: PairGridReport(list(corpus.languages), m, corpus.n_per_label,
+                                 {c: np.zeros((K, K), dtype=np.int64) for c in CONTRAST_LABELS})
+               for m in measures}
     for qi, lq in enumerate(corpus.languages):
         for ti, lt in enumerate(corpus.languages):
-            ent = pair_sims("entailment", lq, lt)
-            for contrast in CONTRAST_LABELS:
-                errors[contrast][qi, ti] = count_errors(ent, pair_sims(contrast, lq, lt))
-    return PairGridReport(list(corpus.languages), measure, n, errors)
+            dots = {lbl: np.sum(emb[(0, lbl, lq)] * emb[(1, lbl, lt)], axis=1) for lbl in LABELS}
+            for m, report in reports.items():
+                ent = measure_from_dots(dots["entailment"], m)
+                for contrast in CONTRAST_LABELS:
+                    report.errors[contrast][qi, ti] = count_errors(
+                        ent, measure_from_dots(dots[contrast], m))
+    return reports
+
+
+def grid_eval(model: DualEncoder, corpus: PairCorpus, measure: str,
+              vocab: Vocab) -> PairGridReport:
+    """`grid_reports` under one measure."""
+    return grid_reports(model, corpus, (measure,), vocab)[measure]
 
 
 @dataclass
@@ -150,24 +151,12 @@ def grid_compare(base: PairGridReport, tuned: PairGridReport,
     if base.languages != tuned.languages or base.measure != tuned.measure \
             or base.n_per_label != tuned.n_per_label:
         raise GridError("grid reports are not comparable")
-    K = len(base.languages)
-    total = base.cell_total
-    improved = {c: 0 for c in CONTRAST_LABELS}
-    worsened = {c: 0 for c in CONTRAST_LABELS}
-    neither = {c: 0 for c in CONTRAST_LABELS}
-    verdicts = {c: np.zeros((K, K), dtype=np.int64) for c in CONTRAST_LABELS}
-    for contrast in CONTRAST_LABELS:
-        for qi in range(K):
-            for ti in range(K):
-                n0 = int(base.errors[contrast][qi, ti])
-                n1 = int(tuned.errors[contrast][qi, ti])
-                zt = z_test(n0, n1, total, variant)
-                if zt.significant and n1 < n0:
-                    improved[contrast] += 1
-                    verdicts[contrast][qi, ti] = 1
-                elif zt.significant and n1 > n0:
-                    worsened[contrast] += 1
-                    verdicts[contrast][qi, ti] = -1
-                else:
-                    neither[contrast] += 1
-    return GridComparison(improved, worsened, neither, verdicts)
+
+    def verdict(n0, n1) -> int:
+        n0, n1 = int(n0), int(n1)
+        return ((n0 > n1) - (n0 < n1)) * z_test(n0, n1, base.cell_total, variant).significant
+
+    verdicts = {c: np.vectorize(verdict, otypes=[np.int64])(base.errors[c], tuned.errors[c])
+                for c in CONTRAST_LABELS}
+    counts = ({c: int(np.sum(v == k)) for c, v in verdicts.items()} for k in (1, -1, 0))
+    return GridComparison(*counts, verdicts)

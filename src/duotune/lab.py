@@ -18,8 +18,9 @@ import numpy as np
 
 from . import freeze
 from .data import TripletSample
-from .encoder import MEASURES, DualEncoder, ParamTree, Vocab, encode_many, token_limit
-from .grid import GridComparison, PairCorpus, PairGridReport, grid_compare, grid_eval
+from .encoder import MEASURES, DualEncoder, ParamTree, Vocab, encode_many
+from .grid import GridComparison, PairCorpus, PairGridReport, grid_compare, grid_reports
+from .grid import grid_eval  # unused here: perfbench/tracer.py wraps lab.grid_eval
 from .metrics import EvalReport, QueryJudgments, full_report, improvement, z_test
 from .optim import OptimizerSpec, SchedulerSpec
 from .tuning import RunRecord, TuneConfig, tune
@@ -79,8 +80,8 @@ def diagnose_layers(before: ParamTree, after: ParamTree) -> LayerChangeReport:
 # --- evaluation over triplet datasets ----------------------------------------
 
 def judgments_from_triplets(model: DualEncoder, samples: Sequence[TripletSample],
-                            vocab: Vocab, max_len: int = 64) -> List[QueryJudgments]:
-    max_len = token_limit(max_len, model.config)
+                            vocab: Vocab) -> List[QueryJudgments]:
+    max_len = model.config.max_positions
     queries = encode_many(model.query_params,
                           [vocab.encode(s.query, max_len) for s in samples], model.config)
     texts = encode_many(model.text_params,
@@ -92,9 +93,8 @@ def judgments_from_triplets(model: DualEncoder, samples: Sequence[TripletSample]
 
 
 def evaluate_triplets(model: DualEncoder, samples: Sequence[TripletSample],
-                      vocab: Vocab, measures: Sequence[str] = MEASURES,
-                      max_len: int = 64) -> Dict[str, EvalReport]:
-    judgments = judgments_from_triplets(model, samples, vocab, max_len)
+                      vocab: Vocab, measures: Sequence[str] = MEASURES) -> Dict[str, EvalReport]:
+    judgments = judgments_from_triplets(model, samples, vocab)
     return {m: full_report(judgments, m) for m in measures}
 
 
@@ -180,22 +180,25 @@ def run_sweep(model: DualEncoder, train: Sequence[TripletSample],
         trained = [model.query_params] + ([model.text_params] if cfg.mode == "both-tuned" else [])
         for tree in trained:
             freeze.resolve(frozen, tree)
-    base_reports = {name: evaluate_triplets(model, samples, vocab, spec.measures)
-                    for name, samples in spec.eval_sets.items()}
-    base_grids = None
-    if spec.grid_corpus is not None:
-        base_grids = {m: grid_eval(model, spec.grid_corpus, m, vocab)
-                      for m in spec.measures}
 
+    def evaluate(dual: DualEncoder):
+        """Every eval set's reports and, with a grid corpus, each measure's grid."""
+        reports = {name: evaluate_triplets(dual, samples, vocab, spec.measures)
+                   for name, samples in spec.eval_sets.items()}
+        grids = (grid_reports(dual, spec.grid_corpus, spec.measures, vocab)
+                 if spec.grid_corpus is not None else None)
+        return reports, grids
+
+    base_reports, base_grids = evaluate(model)
     points: List[SweepPointResult] = []
     for value, cfg in zip(spec.values, configs):
         tuned, record = tune(model, train, valid, cfg, vocab)
+        after, grids = evaluate(tuned)
         rows: List[SweepRow] = []
-        for name, samples in spec.eval_sets.items():
-            after = evaluate_triplets(tuned, samples, vocab, spec.measures)
+        for name in spec.eval_sets:
             for m in spec.measures:
                 before_rep = base_reports[name][m]
-                after_rep = after[m]
+                after_rep = after[name][m]
                 imp = (improvement(before_rep.pnd, after_rep.pnd, -1)
                        if before_rep.pnd != 0 else 0.0)
                 zt = z_test(before_rep.errors, after_rep.errors, before_rep.total,
@@ -203,12 +206,8 @@ def run_sweep(model: DualEncoder, train: Sequence[TripletSample],
                 rows.append(SweepRow(str(value), name, m, before_rep.pnd, after_rep.pnd,
                                      100.0 * imp, before_rep.errors, after_rep.errors,
                                      before_rep.total, zt.z, zt.significant))
-        grid_cmp = None
-        if base_grids is not None:
-            grid_cmp = {}
-            for m in spec.measures:
-                tuned_grid = grid_eval(tuned, spec.grid_corpus, m, vocab)
-                grid_cmp[m] = grid_compare(base_grids[m], tuned_grid, spec.ztest_variant)
+        grid_cmp = None if grids is None else {
+            m: grid_compare(base_grids[m], grids[m], spec.ztest_variant) for m in spec.measures}
         points.append(SweepPointResult(str(value), rows, grid_cmp, record))
     return SweepReport(spec.axis, points)
 

@@ -57,6 +57,8 @@ class OptimizerSpec:
         # lr == 0 is allowed: a no-op run is a useful control
         if self.lr < 0:
             raise OptimError("lr must be >= 0")
+        if self.weight_decay < 0:
+            raise OptimError("weight_decay must be >= 0")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise OptimError("betas must lie in [0, 1)")
         if self.kind not in ("adamw", "adamax", "adadelta", "sgd"):

@@ -25,10 +25,10 @@ import numpy as np
 from . import tensor as T
 from .data import TripletSample
 from .encoder import (DualEncoder, PrefixTable, Vocab, encode_batch, encode_many,
-                      encode_prefix, frozen_stages, pad_batch, token_limit, wrap_params)
+                      encode_prefix, frozen_stages, pad_batch, wrap_params)
 from .freeze import parse_freeze_spec, trainable_names
 from .optim import (LossSpec, Optimizer, OptimizerSpec, SchedulerSpec,
-                    scheduler_value, triplet_margin_loss, triplet_margin_loss_np)
+                    scheduler_value, triplet_margin_loss)
 
 
 class TuningError(RuntimeError):
@@ -48,7 +48,6 @@ class TuneConfig:
     loss: LossSpec = field(default_factory=LossSpec)
     seed: int = 0
     mode: str = "query-only"            # or "both-tuned"
-    max_seq_len: int = 64
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -81,6 +80,7 @@ class TuneConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "TuneConfig":
         d = dict(d)
+        d.pop("max_seq_len", None)      # written before truncation came from the model
         d["optimizer"] = OptimizerSpec(**d.get("optimizer", {}))
         if "scheduler" in d and d["scheduler"] is not None:
             d["scheduler"] = SchedulerSpec(**d["scheduler"])
@@ -145,17 +145,15 @@ def validate(model: DualEncoder, valid_tokens: Sequence[Tuple[list, list, list]]
                         [t[1] for t in valid_tokens] + [t[2] for t in valid_tokens],
                         model.config, prefix=prefixes.get("text"))
     pos, neg = np.split(texts, 2)
-    losses = triplet_margin_loss_np(anchors, pos, neg, loss_spec.margin)
     dp = np.linalg.norm(anchors - pos, axis=-1)
     dn = np.linalg.norm(anchors - neg, axis=-1)
-    errors = int(np.sum(dp >= dn))
-    return float(losses.mean()), errors
+    losses = np.maximum(0.0, dp - dn + loss_spec.margin)
+    return float(losses.mean()), int(np.sum(dp >= dn))
 
 
 def validate_samples(model: DualEncoder, samples: Sequence[TripletSample],
-                     vocab: Vocab, loss_spec: LossSpec = LossSpec(),
-                     max_len: int = 64) -> Tuple[float, int]:
-    tokens = _tokenize_triplets(samples, vocab, token_limit(max_len, model.config))
+                     vocab: Vocab, loss_spec: LossSpec = LossSpec()) -> Tuple[float, int]:
+    tokens = _tokenize_triplets(samples, vocab, model.config.max_positions)
     return validate(model, tokens, loss_spec)
 
 
@@ -193,9 +191,8 @@ def tune(model: DualEncoder, train: Sequence[TripletSample],
     trainable = {side: trainable_names(spec, towers[side].keys()) for side in trained}
     params = {f"{side}.{n}": towers[side][n] for side, names in trainable.items() for n in names}
 
-    max_len = token_limit(cfg.max_seq_len, model.config)
-    train_tok = _tokenize_triplets(train, vocab, max_len)
-    valid_tok = _tokenize_triplets(valid, vocab, max_len) if valid else []
+    train_tok = _tokenize_triplets(train, vocab, model.config.max_positions)
+    valid_tok = _tokenize_triplets(valid, vocab, model.config.max_positions)
     seqs = {"query": [t[0] for t in train_tok + valid_tok],
             "text": [s for t in train_tok + valid_tok for s in t[1:]]}
     prefixes = {}

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from duotune import cli
+from duotune import cli, grid
 from duotune.cli import _tune_config_from_args, build_parser, main
 from duotune.data import ArxivRecord, read_triplets
 from duotune.tuning import TuneConfig
@@ -91,6 +91,20 @@ def test_replay_reproduces_outputs_byte_for_byte(workspace, tmp_path):
         assert (first / name).read_bytes() == (again / name).read_bytes(), name
 
 
+def test_replay_drops_the_max_seq_len_of_an_older_manifest(workspace, tmp_path):
+    p = corpus_paths(workspace)
+    first = tmp_path / "first"
+    assert run_tune(p, first, "--lr", "1e-3") == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    manifest["config"]["tune"]["max_seq_len"] = 64     # what the CLI wrote before
+    older = tmp_path / "older-manifest.json"
+    older.write_text(json.dumps(manifest))
+    again = tmp_path / "again"
+    assert main(["replay", "--manifest", str(older), "--out", str(again)]) == 0
+    for name in ("model.ckpt", "run.json", "manifest.json"):
+        assert (first / name).read_bytes() == (again / name).read_bytes(), name
+
+
 def test_replay_rejects_changed_inputs(workspace, tmp_path):
     p = corpus_paths(workspace)
     out = tmp_path / "r"
@@ -162,6 +176,7 @@ def test_config_file_rejects_unknown_keys_and_bad_values(workspace, tmp_path, ca
     ("--epoch-size", "0"),
     ("--max-epochs", "-2"),
     ("--seed", "-1"),
+    ("--weight-decay", "-1"),
 ])
 @pytest.mark.parametrize("source", ["command line", "config file"])
 def test_bad_tune_values_are_usage_errors(workspace, tmp_path, capsys, flag, value, source):
@@ -215,6 +230,25 @@ def test_negative_seeds_are_usage_errors(tmp_path, capsys, cmd, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cmd, args, named", [
+    ("gen-synth", ["--languages", "0"], ["argument --languages"]),
+    ("gen-synth", ["--pretrain", "-1"], ["argument --pretrain"]),
+    ("gen-synth", ["--vocab-size", "4"], ["--vocab-size 4", "--topics 8"]),
+    ("init-model", ["--hidden", "0"], ["argument --hidden"]),
+    ("init-model", ["--hidden", "16", "--heads", "3"], ["--hidden 16", "--heads 3"]),
+])
+def test_bad_sizes_are_usage_errors(workspace, tmp_path, capsys, cmd, args, named):
+    out = tmp_path / "out"
+    if cmd == "init-model":
+        args = ["--vocab", str(corpus_paths(workspace)["vocab"]), *args]
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, *args, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert all(n in err for n in named), err
+    assert not out.exists()
+
+
 def test_scaling_rule_applies_to_the_configured_lr(workspace, tmp_path):
     p = corpus_paths(workspace)
     out = tmp_path / "run"
@@ -245,6 +279,31 @@ def test_grid_eval_emits_matrices(workspace, tmp_path, capsys):
         csv = (out / f"grid_cosine_{contrast}.csv").read_text().splitlines()
         assert len(csv) == 3  # header + 2 languages
     assert "averaged PND" in capsys.readouterr().out
+
+
+def test_grid_eval_of_both_measures_encodes_once_for_both(workspace, tmp_path, monkeypatch):
+    p = corpus_paths(workspace)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return encode_many(*args, **kwargs)
+
+    encode_many = grid.encode_many
+    monkeypatch.setattr(grid, "encode_many", counting)
+    counts = {}
+    for measure in ("both", "cosine", "euclidean"):
+        calls.clear()
+        assert main(["grid-eval", "--model", str(p["model"]), "--pairs", str(p["pairs"]),
+                     "--vocab", str(p["vocab"]), "--measure", measure,
+                     "--out", str(tmp_path / measure)]) == 0
+        counts[measure] = len(calls)
+    assert counts == {"both": 3 * 2 * 2, "cosine": 3 * 2 * 2, "euclidean": 3 * 2 * 2}
+    for m in ("cosine", "euclidean"):
+        for contrast in ("neutral", "contradiction"):
+            name = f"grid_{m}_{contrast}.csv"
+            assert (tmp_path / "both" / name).read_text() == (tmp_path / m / name).read_text()
+    assert len(list((tmp_path / "both").iterdir())) == 4
 
 
 def test_sweep_emits_reports(workspace, tmp_path):
@@ -329,6 +388,7 @@ def assert_sweep_usage_error(workspace, tmp_path, capsys, monkeypatch, axis, val
     ("freeze", "emb;wat", "argument --freeze"),
     ("learning_rate", "-1e-3,0", "argument --lr"),
     ("margin", "-0.1", "argument --margin"),
+    ("weight_decay", "-1e-2", "argument --weight-decay"),
 ])
 def test_bad_sweep_values_are_usage_errors(workspace, tmp_path, capsys, monkeypatch,
                                            axis, values, named):

@@ -71,7 +71,6 @@ def test_text_longer_than_max_positions_is_truncated_to_fit():
     train, valid = long_samples(12), long_samples(6, seed=1)
     cfg = TuneConfig(batch_size=4, epoch_size=2, max_epochs=2, idle_epochs_to_stop=2,
                      optimizer=OptimizerSpec(kind="adamw", lr=1e-3))
-    assert cfg.max_seq_len > CFG.max_positions
     tuned, record = tune(model, train, valid, cfg, VOCAB)
     again, again_record = tune(model, truncated(train), truncated(valid), cfg, VOCAB)
     assert record.to_dict() == again_record.to_dict()

@@ -6,10 +6,10 @@ import pytest
 
 from duotune import tensor as T
 from duotune.data import SynthCorpusSpec, gen_synth_corpus
-from duotune.encoder import (DualEncoder, EncoderConfig, Vocab, encode,
+from duotune.encoder import (MEASURES, DualEncoder, EncoderConfig, Vocab, encode,
                              similarity)
-from duotune.grid import (CONTRAST_LABELS, GridError, PairCorpus,
-                          PairGridReport, grid_compare, grid_eval)
+from duotune.grid import (CONTRAST_LABELS, LABELS, GridError, PairCorpus,
+                          PairGridReport, grid_compare, grid_eval, grid_reports)
 
 CFG = EncoderConfig(vocab_size=40, hidden=16, n_blocks=2, n_heads=2,
                     intermediate=32, max_positions=16)
@@ -93,6 +93,35 @@ def test_grid_cells_match_double_loop_oracle(measure):
                          for p in corpus.pairs[contrast]]
                 count = sum(1 for e in ent for x in other if e <= x)
                 assert report.errors[contrast][qi, ti] == count, (measure, lq, lt)
+
+
+def mixed_length_pairs(n_languages=3, n_pairs=4):
+    """Pairs over the words w000..w029 whose sentences run 1..6 tokens, so
+    rows are padded within each encoded group."""
+    records = []
+    for k, lbl in enumerate(LABELS):
+        for i in range(n_pairs):
+            for j in range(n_languages):
+                start = (5 * k + 3 * i + j) % 30
+                s1 = [(start + t) % 30 for t in range(1 + (i + j) % 6)]
+                s2 = [(start + 2 * t) % 30 for t in range(1 + (i + 2 * j + k) % 6)]
+                records.append({"pair_id": f"{lbl}{i}", "label": lbl, "language": f"l{j}",
+                                "sentence1": " ".join(f"w{w:03d}" for w in s1),
+                                "sentence2": " ".join(f"w{w:03d}" for w in s2)})
+    return PairCorpus.from_records(records), Vocab([f"w{i:03d}" for i in range(30)])
+
+
+def test_grid_reports_equal_one_grid_eval_per_measure():
+    corpus, vocab = mixed_length_pairs()
+    model = DualEncoder.twin_init(CFG, T.Rng(5))
+    reports = grid_reports(model, corpus, MEASURES, vocab)
+    assert list(reports) == list(MEASURES)
+    for m in MEASURES:
+        single = grid_eval(model, corpus, m, vocab)
+        assert (reports[m].languages, reports[m].measure, reports[m].n_per_label) == \
+            (single.languages, m, 4)
+        for contrast in CONTRAST_LABELS:
+            assert np.array_equal(reports[m].errors[contrast], single.errors[contrast])
 
 
 def test_separable_corpus_has_zero_errors():

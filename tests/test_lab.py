@@ -7,7 +7,7 @@ import io
 import numpy as np
 import pytest
 
-from duotune import lab
+from duotune import grid, lab
 from duotune import tensor as T
 from duotune.data import TripletSample
 from duotune.encoder import (DualEncoder, EncoderConfig, Vocab, copy_tree, encode_many,
@@ -20,6 +20,7 @@ from duotune.lab import (LabError, SweepSpec, apply_axis_value, diagnose_layers,
                          plot_data, run_sweep, sweep_csv, SWEEP_CSV_HEADER)
 from duotune.optim import OptimizerSpec, SchedulerSpec
 from duotune.tuning import TuneConfig
+from tests.test_grid import mixed_length_pairs
 from tests.test_tuning import CFG, VOCAB, topic_triplets, words
 
 
@@ -145,6 +146,23 @@ def test_sweep_has_one_row_per_value_dataset_measure():
     for pt in report.points:
         keys = {(r.dataset, r.measure) for r in pt.rows}
         assert keys == {("topics", "cosine"), ("topics", "euclidean")}
+
+
+def test_grid_sweep_encodes_each_grid_group_once_per_model(monkeypatch):
+    corpus, vocab = mixed_length_pairs(n_languages=3, n_pairs=2)
+    model, train, valid, spec = sweep_fixture([0.0, 1e-3])
+    spec = dataclasses.replace(spec, grid_corpus=corpus)
+    calls = []
+
+    def counting(params, token_lists, config):
+        calls.append(len(token_lists))
+        return encode_many(params, token_lists, config)
+
+    monkeypatch.setattr(grid, "encode_many", counting)
+    report = run_sweep(model, train, valid, vocab, spec)
+    # (base + 2 points) x 3 labels x 3 languages x 2 sides, whatever the measures
+    assert len(calls) == (1 + 2) * 3 * 3 * 2 and set(calls) == {2}
+    assert all(set(pt.grid) == set(spec.measures) for pt in report.points)
 
 
 def test_learning_rate_points_under_a_scheduler_differ():
