@@ -69,13 +69,21 @@ def _parses(check):
     return arg
 
 
-def _scheduler(args, text: str, lr: float):
+def _scheduler(args, text: str):
     """The SchedulerSpec a --scheduler value names; L and Q need --scheduler-steps."""
     try:
-        return parse_scheduler(text, lr, args.scheduler_steps)
+        return parse_scheduler(text, args.scheduler_steps)
     except OptimError as e:
         raise argparse.ArgumentError(args.tune_flags["scheduler"],
                                      f"{e}; set --scheduler-steps >= 1") from None
+
+
+def _read(flag: str, path, load, size=len):
+    """load(path); a file that holds no records is a usage error naming `flag`."""
+    records = load(path)
+    if size(records) == 0:
+        raise argparse.ArgumentError(None, f"argument {flag}: {path} holds no records")
+    return records
 
 
 def _write(path: Path, text: str) -> None:
@@ -173,9 +181,6 @@ def _tune_config_from_args(args) -> TuneConfig:
     lr = args.lr
     if args.scaling_rule != "none":
         lr = scale_lr(args.base_batch, lr, args.batch_size, args.scaling_rule)
-    sched = None
-    if args.scheduler not in ("none", "-", ""):
-        sched = _scheduler(args, args.scheduler, lr)
     try:
         return TuneConfig(
             batch_size=args.batch_size, epoch_policy=args.epoch_policy,
@@ -183,8 +188,12 @@ def _tune_config_from_args(args) -> TuneConfig:
             max_epochs=args.max_epochs, freeze=args.freeze,
             optimizer=OptimizerSpec(kind=args.optimizer, lr=lr, weight_decay=args.weight_decay,
                                     momentum=not args.no_momentum),
-            scheduler=sched, loss=LossSpec(margin=args.margin), seed=args.seed, mode=args.mode)
-    except TuningError as e:    # the flag types leave only the samples-policy check
+            scheduler=_scheduler(args, args.scheduler), loss=LossSpec(margin=args.margin),
+            seed=args.seed, mode=args.mode)
+    except OptimError as e:     # the flag types leave only the schedule's length
+        raise argparse.ArgumentError(args.tune_flags["scheduler_steps"],
+                                     f"the run's last {e}") from None
+    except TuningError as e:    # and the samples-policy check
         raise argparse.ArgumentError(args.tune_flags["epoch_size"], str(e)) from None
 
 
@@ -192,8 +201,8 @@ def _run_tune(model_path, train_path, valid_path, vocab_path, cfg: TuneConfig,
               out_dir: Path) -> None:
     model = load_dual(model_path)
     vocab = Vocab.load(vocab_path)
-    train = D.read_triplets(train_path)
-    valid = D.read_triplets(valid_path)
+    train = _read("--train", train_path, D.read_triplets)
+    valid = _read("--valid", valid_path, D.read_triplets)
     best, record = tune(model, train, valid, cfg, vocab)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -233,7 +242,10 @@ def cmd_replay(args) -> int:
         actual = lab.file_digest(paths[key])
         if actual != digest:
             raise SystemExit(f"input {key} changed since the original run")
-    cfg = TuneConfig.from_dict(doc["config"]["tune"])
+    try:
+        cfg = TuneConfig.from_dict(doc["config"]["tune"])
+    except (TuningError, ValueError) as e:
+        raise SystemExit(f"{args.manifest}: {e}") from None
     _run_tune(paths["model"], paths["train"], paths["valid"], paths["vocab"],
               cfg, Path(args.out))
     print(f"replayed run into {args.out}")
@@ -243,7 +255,7 @@ def cmd_replay(args) -> int:
 def cmd_eval(args) -> int:
     model = load_dual(args.model)
     vocab = Vocab.load(args.vocab)
-    samples = D.read_triplets(args.data)
+    samples = _read("--data", args.data, D.read_triplets)
     reports = lab.evaluate_triplets(model, samples, vocab, _measures(args.measure))
     csv = lab.eval_csv(reports)
     if args.out:
@@ -255,7 +267,7 @@ def cmd_eval(args) -> int:
 def cmd_grid_eval(args) -> int:
     model = load_dual(args.model)
     vocab = Vocab.load(args.vocab)
-    corpus = PairCorpus.load(args.pairs)
+    corpus = _read("--pairs", args.pairs, PairCorpus.load, lambda c: c.n_per_label)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for m, report in grid_reports(model, corpus, _measures(args.measure), vocab).items():
@@ -280,10 +292,13 @@ def _sweep_values(args, base: TuneConfig) -> list:
     if args.axis == "optimizer":
         values = [dataclasses.replace(base.optimizer, kind=v) for v in values]
     elif args.axis == "scheduler":
-        values = [_scheduler(args, v, base.optimizer.lr) for v in values]
+        values = [_scheduler(args, v) for v in values]
     for v in values:
         try:
             lab.apply_axis_value(base, args.axis, v)
+        except OptimError as e:     # a schedule shorter than the point's run
+            raise argparse.ArgumentError(args.tune_flags["scheduler_steps"],
+                                         f"{flag.option_strings[0]} {v}: last {e}") from None
         except TuningError as e:    # a batch size against the samples epoch policy
             raise argparse.ArgumentError(flag, f"{v}: {e}") from None
     return values
@@ -298,15 +313,16 @@ def cmd_sweep(args) -> int:
     values = _sweep_values(args, base)
     model = load_dual(args.model)
     vocab = Vocab.load(args.vocab)
-    train = D.read_triplets(args.train)
-    valid = D.read_triplets(args.valid)
+    train = _read("--train", args.train, D.read_triplets)
+    valid = _read("--valid", args.valid, D.read_triplets)
     eval_sets = {}
     for item in args.eval or []:
         name, path = item.split("=", 1)
-        eval_sets[name] = D.read_triplets(path)
+        eval_sets[name] = _read("--eval", path, D.read_triplets)
     if not eval_sets:
         raise SystemExit("sweep needs at least one --eval name=path")
-    grid_corpus = PairCorpus.load(args.pairs) if args.pairs else None
+    grid_corpus = (_read("--pairs", args.pairs, PairCorpus.load, lambda c: c.n_per_label)
+                   if args.pairs else None)
     spec = lab.SweepSpec(axis=args.axis, values=values, base=base,
                          eval_sets=eval_sets, grid_corpus=grid_corpus,
                          ztest_variant=args.ztest_variant)
@@ -378,9 +394,9 @@ def _add_tune_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--margin", type=_at_least(float, 0), default=d.loss.margin),
         p.add_argument("--optimizer", choices=["adamw", "adamax", "adadelta", "sgd"],
                        default=d.optimizer.kind),
-        p.add_argument("--scheduler", type=_parses(lambda t: parse_scheduler(t, 0.0, 1)),
-                       default="none", help="none | L | Q | E | E:{gamma}"),
-        p.add_argument("--scheduler-steps", type=int, default=0),
+        p.add_argument("--scheduler", type=_parses(lambda t: parse_scheduler(t, 1)),
+                       default=str(d.scheduler), help="none | L | Q | E | E:{gamma}"),
+        p.add_argument("--scheduler-steps", type=int, default=d.scheduler.total_steps),
         p.add_argument("--weight-decay", type=_at_least(float, 0),
                        default=d.optimizer.weight_decay),
         p.add_argument("--scaling-rule", choices=["none", "linear", "sqrt"], default="none"),

@@ -11,8 +11,8 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, is_dataclass, replace
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
@@ -21,12 +21,14 @@ from .data import TripletSample
 from .encoder import MEASURES, DualEncoder, ParamTree, Vocab, encode_many
 from .grid import GridComparison, PairCorpus, PairGridReport, grid_compare, grid_reports
 from .grid import grid_eval  # unused here: perfbench/tracer.py wraps lab.grid_eval
-from .metrics import EvalReport, QueryJudgments, full_report, improvement, z_test
-from .optim import OptimizerSpec, SchedulerSpec
+from .metrics import EvalReport, QueryJudgments, full_reports, improvement, z_test
 from .tuning import RunRecord, TuneConfig, tune
 
-SWEEP_AXES = ("learning_rate", "batch_size", "margin", "freeze", "scheduler",
-              "optimizer", "weight_decay", "stopping")
+# sweep axis -> the TuneConfig field it sets: a field, or a field of a spec
+SWEEP_AXES = {"learning_rate": "optimizer.lr", "batch_size": "batch_size",
+              "margin": "loss.margin", "freeze": "freeze", "scheduler": "scheduler",
+              "optimizer": "optimizer", "weight_decay": "optimizer.weight_decay",
+              "stopping": "idle_epochs_to_stop"}
 
 
 class LabError(ValueError):
@@ -94,8 +96,7 @@ def judgments_from_triplets(model: DualEncoder, samples: Sequence[TripletSample]
 
 def evaluate_triplets(model: DualEncoder, samples: Sequence[TripletSample],
                       vocab: Vocab, measures: Sequence[str] = MEASURES) -> Dict[str, EvalReport]:
-    judgments = judgments_from_triplets(model, samples, vocab)
-    return {m: full_report(judgments, m) for m in measures}
+    return full_reports(judgments_from_triplets(model, samples, vocab), measures)
 
 
 # --- sweeps -------------------------------------------------------------------
@@ -118,27 +119,17 @@ class SweepSpec:
 
 
 def apply_axis_value(cfg: TuneConfig, axis: str, value) -> TuneConfig:
-    if axis == "learning_rate":
-        return replace(cfg, optimizer=replace(cfg.optimizer, lr=float(value)))
-    if axis == "batch_size":
-        return replace(cfg, batch_size=int(value))
-    if axis == "margin":
-        return replace(cfg, loss=replace(cfg.loss, margin=float(value)))
-    if axis == "freeze":
-        return replace(cfg, freeze=str(value))
-    if axis == "scheduler":
-        if not isinstance(value, SchedulerSpec):
-            raise LabError("scheduler axis values must be SchedulerSpec")
-        return replace(cfg, scheduler=value)
-    if axis == "optimizer":
-        if not isinstance(value, OptimizerSpec):
-            raise LabError("optimizer axis values must be OptimizerSpec")
-        return replace(cfg, optimizer=value)
-    if axis == "weight_decay":
-        return replace(cfg, optimizer=replace(cfg.optimizer, weight_decay=float(value)))
-    if axis == "stopping":
-        return replace(cfg, idle_epochs_to_stop=int(value))
-    raise LabError(f"unknown sweep axis {axis!r}")
+    """`cfg` with the field `axis` names in SWEEP_AXES set to `value`: a scalar
+    converted by the field's type, or a spec that must be of the field's class."""
+    if axis not in SWEEP_AXES:
+        raise LabError(f"unknown sweep axis {axis!r}")
+    spec, _, name = SWEEP_AXES[axis].rpartition(".")
+    owner = getattr(cfg, spec) if spec else cfg
+    kind = get_type_hints(type(owner))[name]
+    if is_dataclass(kind) and not isinstance(value, kind):
+        raise LabError(f"{axis} axis values must be {kind.__name__}, not {value!r}")
+    new = replace(owner, **{name: value if is_dataclass(kind) else kind(value)})
+    return replace(cfg, **{spec: new}) if spec else new
 
 
 @dataclass

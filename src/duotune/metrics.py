@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .encoder import similarity_matrix
+from .encoder import measure_from_dots, similarity_matrix
 
 Z_CRITICAL = 1.96
 
@@ -62,51 +62,49 @@ def count_errors(pos_sims: np.ndarray, neg_sims: np.ndarray) -> int:
     return int(len(pos_sims) * len(neg) - np.searchsorted(neg, pos_sims, side="left").sum())
 
 
-def pnd(judgments: Sequence[QueryJudgments], measure: str) -> EvalReport:
-    """Positive-negative discrepancy, averaged over queries.
+def full_reports(judgments: Sequence[QueryJudgments],
+                 measures: Sequence[str]) -> Dict[str, EvalReport]:
+    """PND, MRR, MAP and P@1 under each measure, from one product per query.
 
     A pair errs when the positive is not strictly more similar to the query
-    than the negative; ties count as errors.
+    than the negative; ties count as errors. Ranks are by descending
+    similarity with stable tie order.
     """
     if not judgments:
-        raise MetricsError("pnd needs at least one query")
-    errors = total = 0
-    per_query = []
+        raise MetricsError("scoring needs at least one query")
+    rows: Dict[str, list] = {m: [] for m in measures}   # per query: errors, pairs, RR, AP, P@1
     for q in judgments:
-        sims = similarity_matrix(q.query[None, :], q.candidates, measure)[0]
-        pos, neg = sims[q.is_positive], sims[~q.is_positive]
-        if len(pos) == 0 or len(neg) == 0:
-            raise MetricsError("pnd needs >=1 positive and >=1 negative per query")
-        e, n = count_errors(pos, neg), len(pos) * len(neg)
-        errors += e
-        total += n
-        per_query.append(e / n)
-    return EvalReport(measure, len(judgments), errors, total, float(np.mean(per_query)))
+        if q.is_positive.all() or not q.is_positive.any():
+            raise MetricsError("scoring needs >=1 positive and >=1 negative per query")
+        dots = similarity_matrix(q.query[None, :], q.candidates, "cosine")[0]  # unit rows
+        for m in measures:
+            sims = measure_from_dots(dots, m)
+            labels = q.is_positive[np.argsort(-sims, kind="stable")]
+            ranks = np.nonzero(labels)[0] + 1
+            rows[m].append((count_errors(sims[q.is_positive], sims[~q.is_positive]),
+                            len(ranks) * (len(labels) - len(ranks)), 1.0 / ranks[0],
+                            float(np.mean(np.arange(1, len(ranks) + 1) / ranks)),
+                            float(labels[0])))
+    reports = {}
+    for m, per_query in rows.items():
+        errors, pairs, rr, ap, p1 = zip(*per_query)
+        reports[m] = EvalReport(m, len(judgments), sum(errors), sum(pairs),
+                                float(np.mean([e / n for e, n in zip(errors, pairs)])),
+                                float(np.mean(rr)), float(np.mean(ap)), float(np.mean(p1)))
+    return reports
+
+
+def full_report(judgments: Sequence[QueryJudgments], measure: str) -> EvalReport:
+    return full_reports(judgments, (measure,))[measure]
+
+
+pnd = full_report   # PND (with the rank metrics); perfbench/tracer.py wraps this name
 
 
 def rank_metrics(judgments: Sequence[QueryJudgments], measure: str) -> Tuple[float, float, float]:
     """(MRR, MAP, P@1) with descending similarity and stable tie order."""
-    if not judgments:
-        raise MetricsError("rank_metrics needs at least one query")
-    rr, ap, p1 = [], [], []
-    for q in judgments:
-        if not q.is_positive.any():
-            raise MetricsError("rank_metrics needs >=1 positive per query")
-        sims = similarity_matrix(q.query[None, :], q.candidates, measure)[0]
-        order = np.argsort(-sims, kind="stable")
-        labels = q.is_positive[order]
-        ranks = np.nonzero(labels)[0] + 1
-        rr.append(1.0 / ranks[0])
-        hits = np.arange(1, len(ranks) + 1)
-        ap.append(float(np.mean(hits / ranks)))
-        p1.append(1.0 if labels[0] else 0.0)
-    return float(np.mean(rr)), float(np.mean(ap)), float(np.mean(p1))
-
-
-def full_report(judgments: Sequence[QueryJudgments], measure: str) -> EvalReport:
-    rep = pnd(judgments, measure)
-    rep.mrr, rep.map, rep.p_at_1 = rank_metrics(judgments, measure)
-    return rep
+    rep = full_report(judgments, measure)
+    return rep.mrr, rep.map, rep.p_at_1
 
 
 def improvement(m_before: float, m_after: float, sign: int) -> float:

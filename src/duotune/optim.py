@@ -41,17 +41,17 @@ def triplet_margin_loss_np(a: np.ndarray, p: np.ndarray, n: np.ndarray,
 
 # --- optimizers -----------------------------------------------------------
 
+# Fixed constants, keyed by the OptimizerSpec fields that held them in older manifests
+FIXED = {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "rho": 0.9, "adadelta_eps": 1e-6}
+BETA1, BETA2, EPS, RHO, ADADELTA_EPS = FIXED.values()
+
+
 @dataclass(frozen=True)
 class OptimizerSpec:
     kind: str = "adamw"            # adamw | adamax | adadelta | sgd
     lr: float = 5e-8
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     momentum: bool = True          # adamax/sgd: False zeroes the moment terms
     weight_decay: float = 0.0
-    rho: float = 0.9               # adadelta decay
-    adadelta_eps: float = 1e-6
 
     def __post_init__(self):
         # lr == 0 is allowed: a no-op run is a useful control
@@ -59,8 +59,6 @@ class OptimizerSpec:
             raise OptimError("lr must be >= 0")
         if self.weight_decay < 0:
             raise OptimError("weight_decay must be >= 0")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise OptimError("betas must lie in [0, 1)")
         if self.kind not in ("adamw", "adamax", "adadelta", "sgd"):
             raise OptimError(f"unknown optimizer kind {self.kind!r}")
 
@@ -109,30 +107,30 @@ class Optimizer:
                 w -= (lr * g).astype(w.dtype, copy=False)
             elif s.kind == "adamw":
                 m, v = self._buffers(name, w, "m", "v")
-                _decay_into(m, s.beta1, g)
-                _decay_into(v, s.beta2, g * g)
-                upd = m / (1 - s.beta1 ** self.t)     # lr * mhat / (sqrt(vhat) + eps)
+                _decay_into(m, BETA1, g)
+                _decay_into(v, BETA2, g * g)
+                upd = m / (1 - BETA1 ** self.t)     # lr * mhat / (sqrt(vhat) + eps)
                 upd *= lr
-                den = np.sqrt(v / (1 - s.beta2 ** self.t))
-                den += s.eps
+                den = np.sqrt(v / (1 - BETA2 ** self.t))
+                den += EPS
                 upd /= den
                 w -= upd.astype(w.dtype)
             elif s.kind == "adamax":
-                b1 = s.beta1 if s.momentum else 0.0
-                b2 = s.beta2 if s.momentum else 0.0
+                b1 = BETA1 if s.momentum else 0.0
+                b2 = BETA2 if s.momentum else 0.0
                 m, u = self._buffers(name, w, "m", "u")
                 _decay_into(m, b1, g)
                 u *= b2                                 # u = max(b2 * u, |g|)
                 np.maximum(u, np.abs(g), out=u)
                 denom = 1.0 - b1 ** self.t if b1 > 0 else 1.0
                 upd = lr / denom * m
-                upd /= u + s.eps
+                upd /= u + EPS
                 w -= upd.astype(w.dtype)
             elif s.kind == "adadelta":
                 eg, ed = self._buffers(name, w, "eg", "ed")
-                _decay_into(eg, s.rho, g * g)
-                delta = -np.sqrt(ed + s.adadelta_eps) / np.sqrt(eg + s.adadelta_eps) * g
-                _decay_into(ed, s.rho, delta * delta)
+                _decay_into(eg, RHO, g * g)
+                delta = -np.sqrt(ed + ADADELTA_EPS) / np.sqrt(eg + ADADELTA_EPS) * g
+                _decay_into(ed, RHO, delta * delta)
                 w += (lr * delta).astype(w.dtype)
             # decoupled weight decay, applied after the moment update
             if s.weight_decay != 0.0:
@@ -177,17 +175,17 @@ def scheduler_value(spec: SchedulerSpec, t: int) -> float:
     return spec.lr0 * (1.0 - frac * frac)  # Q
 
 
-def parse_scheduler(text: str, lr0: float, total_steps: int) -> SchedulerSpec:
-    """Parse a CLI scheduler name: none | L | Q | E | E:{gamma}."""
+def parse_scheduler(text: str, total_steps: int) -> SchedulerSpec:
+    """Parse a CLI scheduler name: none | L | Q | E | E:{gamma}; TuneConfig sets lr0."""
     text = text.strip()
     if text in ("none", "-", ""):
-        return SchedulerSpec("none", lr0=lr0)
+        return SchedulerSpec("none")
     if text in ("L", "Q"):
-        return SchedulerSpec(text, lr0=lr0, total_steps=total_steps)
+        return SchedulerSpec(text, total_steps=total_steps)
     if text == "E":
-        return SchedulerSpec("E", lr0=lr0, gamma=0.95)
+        return SchedulerSpec("E")
     if text.startswith("E:"):
-        return SchedulerSpec("E", lr0=lr0, gamma=float(text[2:]))
+        return SchedulerSpec("E", gamma=float(text[2:]))
     raise OptimError(f"unknown scheduler {text!r}")
 
 

@@ -27,7 +27,7 @@ from .data import TripletSample
 from .encoder import (DualEncoder, PrefixTable, Vocab, encode_batch, encode_many,
                       encode_prefix, frozen_stages, pad_batch, wrap_params)
 from .freeze import parse_freeze_spec, trainable_names
-from .optim import (LossSpec, Optimizer, OptimizerSpec, SchedulerSpec,
+from .optim import (FIXED, LossSpec, Optimizer, OptimizerSpec, SchedulerSpec,
                     scheduler_value, triplet_margin_loss)
 
 
@@ -44,7 +44,7 @@ class TuneConfig:
     max_epochs: int = 1000
     freeze: str = "emb"
     optimizer: OptimizerSpec = field(default_factory=OptimizerSpec)
-    scheduler: Optional[SchedulerSpec] = None
+    scheduler: SchedulerSpec = field(default_factory=SchedulerSpec)
     loss: LossSpec = field(default_factory=LossSpec)
     seed: int = 0
     mode: str = "query-only"            # or "both-tuned"
@@ -67,25 +67,23 @@ class TuneConfig:
                               f"of {self.batch_size} under the samples epoch policy")
         if self.mode not in ("query-only", "both-tuned"):
             raise TuningError(f"unknown mode {self.mode!r}")
-        if self.scheduler is not None:     # a schedule starts from the optimizer's lr
-            object.__setattr__(self, "scheduler",
-                               replace(self.scheduler, lr0=self.optimizer.lr))
+        # a schedule starts from the optimizer's lr and must give one at the last step
+        object.__setattr__(self, "scheduler", replace(self.scheduler, lr0=self.optimizer.lr))
+        scheduler_value(self.scheduler, max(0, self.max_epochs * self.batches_per_epoch - 1))
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        if self.scheduler is None:
-            d.pop("scheduler")
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TuneConfig":
         d = dict(d)
         d.pop("max_seq_len", None)      # written before truncation came from the model
-        d["optimizer"] = OptimizerSpec(**d.get("optimizer", {}))
-        if "scheduler" in d and d["scheduler"] is not None:
-            d["scheduler"] = SchedulerSpec(**d["scheduler"])
-        else:
-            d["scheduler"] = None
+        opt = dict(d.get("optimizer", {}))
+        for key, value in FIXED.items():    # written while they were OptimizerSpec fields
+            if opt.pop(key, value) != value:
+                raise TuningError(f"optimizer {key} is fixed at {value}: cannot reproduce")
+        d["optimizer"] = OptimizerSpec(**opt)
+        d["scheduler"] = SchedulerSpec(**(d.get("scheduler") or {}))    # null: no schedule
         d["loss"] = LossSpec(**d.get("loss", {}))
         return cls(**d)
 
@@ -234,13 +232,10 @@ def tune(model: DualEncoder, train: Sequence[TripletSample],
                 raise TuningError(f"non-finite loss at epoch {epoch}, batch {b}")
             tape.backward(loss)
 
-            lr = None
-            if cfg.scheduler is not None:
-                lr = scheduler_value(cfg.scheduler, step)
             grads = {f"{side}.{n}": leaves[side][n].grad
                      for side, names in trainable.items() for n in names
                      if leaves[side][n].grad is not None}
-            optimizer.step(params, grads, lr=lr)
+            optimizer.step(params, grads, lr=scheduler_value(cfg.scheduler, step))
             step += 1
 
         val_loss, val_errors = validate_fn(work)

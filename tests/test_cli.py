@@ -78,6 +78,7 @@ def test_tune_writes_checkpoint_run_record_and_manifest(workspace, tmp_path):
     assert manifest["command"] == "tune"
     assert set(manifest["input_digests"]) == {"model", "train", "valid", "vocab"}
     assert manifest["config"]["tune"]["optimizer"]["lr"] == 1e-3
+    assert manifest["config"]["tune"]["scheduler"]["kind"] == "none"
 
 
 def test_replay_reproduces_outputs_byte_for_byte(workspace, tmp_path):
@@ -91,18 +92,42 @@ def test_replay_reproduces_outputs_byte_for_byte(workspace, tmp_path):
         assert (first / name).read_bytes() == (again / name).read_bytes(), name
 
 
-def test_replay_drops_the_max_seq_len_of_an_older_manifest(workspace, tmp_path):
+# what the CLI wrote before: a max_seq_len, the optimizer constants as fields,
+# and no scheduler key when there was no schedule
+OLDER_MANIFEST_EDITS = {
+    "max_seq_len": lambda tune: tune.update(max_seq_len=64),
+    "optimizer constants": lambda tune: tune["optimizer"].update(
+        beta1=0.9, beta2=0.999, eps=1e-8, rho=0.9, adadelta_eps=1e-6),
+    "no scheduler": lambda tune: tune.pop("scheduler"),
+}
+
+
+@pytest.mark.parametrize("edit", OLDER_MANIFEST_EDITS)
+def test_replay_reads_an_older_manifest(workspace, tmp_path, edit):
     p = corpus_paths(workspace)
     first = tmp_path / "first"
     assert run_tune(p, first, "--lr", "1e-3") == 0
     manifest = json.loads((first / "manifest.json").read_text())
-    manifest["config"]["tune"]["max_seq_len"] = 64     # what the CLI wrote before
+    OLDER_MANIFEST_EDITS[edit](manifest["config"]["tune"])
     older = tmp_path / "older-manifest.json"
     older.write_text(json.dumps(manifest))
     again = tmp_path / "again"
     assert main(["replay", "--manifest", str(older), "--out", str(again)]) == 0
     for name in ("model.ckpt", "run.json", "manifest.json"):
         assert (first / name).read_bytes() == (again / name).read_bytes(), name
+
+
+def test_replay_refuses_an_optimizer_constant_it_cannot_reproduce(workspace, tmp_path):
+    p = corpus_paths(workspace)
+    first = tmp_path / "first"
+    assert run_tune(p, first, "--lr", "1e-3") == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    manifest["config"]["tune"]["optimizer"]["beta1"] = 0.8
+    bad = tmp_path / "bad-manifest.json"
+    bad.write_text(json.dumps(manifest))
+    with pytest.raises(SystemExit, match="beta1"):
+        main(["replay", "--manifest", str(bad), "--out", str(tmp_path / "again")])
+    assert not (tmp_path / "again").exists()
 
 
 def test_replay_rejects_changed_inputs(workspace, tmp_path):
@@ -198,21 +223,30 @@ def test_bad_tune_values_are_usage_errors(workspace, tmp_path, capsys, flag, val
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("settings, named", [
+    # a samples epoch shorter than one batch
+    ({"epoch_policy": "samples", "epoch_size": "3"}, "argument --epoch-size"),
+    # a schedule that ends before the run's last step: 3 epochs x 5 batches
+    ({"scheduler": "L", "scheduler_steps": "8", "epoch_size": "5", "max_epochs": "3",
+      "batch_size": "4"}, "argument --scheduler-steps"),
+    # the default run's last step is 1000 x 1000 - 1
+    ({"scheduler": "Q", "scheduler_steps": "999998"}, "argument --scheduler-steps"),
+])
 @pytest.mark.parametrize("source", ["command line", "config file"])
-def test_samples_epoch_shorter_than_a_batch_is_a_usage_error(workspace, tmp_path, capsys,
-                                                             source):
+def test_tune_settings_at_odds_are_usage_errors(workspace, tmp_path, capsys, settings, named,
+                                                source):
     p = corpus_paths(workspace)
-    extra = ["--epoch-policy", "samples", "--epoch-size", "3"]
+    extra = [x for k, v in settings.items() for x in (f"--{k.replace('_', '-')}", v)]
     if source == "config file":
         cfg = tmp_path / "tune.ini"
-        cfg.write_text("[tune]\nepoch_policy = samples\nepoch_size = 3\n")
+        cfg.write_text("[tune]\n" + "".join(f"{k} = {v}\n" for k, v in settings.items()))
         extra = ["--config", str(cfg)]
     with pytest.raises(SystemExit) as exc:
         main(["tune", "--model", str(p["model"]), "--train", str(p["train"]),
               "--valid", str(p["valid"]), "--vocab", str(p["vocab"]),
               "--out", str(tmp_path / "run"), *extra])
     assert exc.value.code == 2
-    assert "argument --epoch-size" in capsys.readouterr().err
+    assert named in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
@@ -256,6 +290,44 @@ def test_scaling_rule_applies_to_the_configured_lr(workspace, tmp_path):
                     "--base-batch", "2") == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["tune"]["optimizer"]["lr"] == pytest.approx(1e-7)
+
+
+@pytest.fixture(scope="module")
+def empty_files(tmp_path_factory):
+    """A heldout triplet file and a pairs file with no records, as gen-synth
+    writes them for --heldout 0 and --pairs-per-label 0."""
+    out = tmp_path_factory.mktemp("empty") / "corpus"
+    assert main(["gen-synth", "--out", str(out), "--languages", "2", "--vocab-size", "48",
+                 "--topics", "4", "--pretrain", "4", "--tune", "4", "--heldout", "0",
+                 "--pairs-per-label", "0"]) == 0
+    return {"triplets": out / "heldout_lang0.jsonl", "pairs": out / "pairs.jsonl"}
+
+
+@pytest.mark.parametrize("cmd, flag", [
+    ("eval", "--data"), ("tune", "--train"), ("tune", "--valid"), ("sweep", "--train"),
+    ("sweep", "--valid"), ("sweep", "--eval"), ("sweep", "--pairs"), ("grid-eval", "--pairs"),
+])
+def test_empty_input_files_are_usage_errors(workspace, empty_files, tmp_path, capsys,
+                                            cmd, flag):
+    p = corpus_paths(workspace)
+    empty = empty_files["pairs" if flag == "--pairs" else "triplets"]
+    files = {"--model": p["model"], "--vocab": p["vocab"], "--data": p["evals"],
+             "--train": p["train"], "--valid": p["valid"], "--pairs": p["pairs"]}
+    files[flag] = empty
+    names = {"eval": ["--model", "--vocab", "--data"],
+             "tune": ["--model", "--vocab", "--train", "--valid"],
+             "sweep": ["--model", "--vocab", "--train", "--valid", "--pairs"],
+             "grid-eval": ["--model", "--vocab", "--pairs"]}[cmd]
+    args = [x for name in names for x in (name, str(files[name]))]
+    if cmd == "sweep":
+        evals = empty if flag == "--eval" else p["evals"]
+        args += ["--eval", f"heldout={evals}", "--axis", "learning_rate", "--values", "0"]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, *args, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument {flag}: {empty} holds no records" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_emits_csv(workspace, tmp_path, capsys):
@@ -402,6 +474,12 @@ def test_bad_sweep_values_are_usage_errors(workspace, tmp_path, capsys, monkeypa
      "argument --scaling-rule: sqrt cannot be used with --axis learning_rate"),
     ("batch_size", "4,28", ["--epoch-policy", "samples", "--epoch-size", "20"],
      "argument --batch-size: 28"),
+    # batch 2 makes 4 samples-policy batches per epoch: last step 7, past the schedule
+    ("batch_size", "4,2", ["--epoch-policy", "samples", "--epoch-size", "8",
+                           "--scheduler", "L", "--scheduler-steps", "5"],
+     "argument --scheduler-steps: --batch-size 2: last step 7 beyond total_steps 5"),
+    ("scheduler", "E:0.9,L", ["--scheduler-steps", "2"],
+     "argument --scheduler-steps: --scheduler L: last step 3 beyond total_steps 2"),
 ])
 def test_sweep_values_against_other_flags_are_usage_errors(workspace, tmp_path, capsys,
                                                            monkeypatch, axis, values,

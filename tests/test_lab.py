@@ -97,8 +97,9 @@ def test_apply_axis_value_covers_every_axis():
     assert apply_axis_value(cfg, "optimizer", opt).optimizer == opt
     assert apply_axis_value(cfg, "weight_decay", 0.1).optimizer.weight_decay == 0.1
     assert apply_axis_value(cfg, "stopping", 5).idle_epochs_to_stop == 5
-    with pytest.raises(LabError):
-        apply_axis_value(cfg, "unknown", 1)
+    for axis, value in (("unknown", 1), ("scheduler", "E:0.9"), ("optimizer", "sgd")):
+        with pytest.raises(LabError):
+            apply_axis_value(cfg, axis, value)
 
 
 def test_sweep_spec_validation():

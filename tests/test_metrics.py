@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duotune.encoder import similarity
+from duotune import metrics
+from duotune.encoder import MEASURES, similarity
 from duotune.metrics import (EvalReport, MetricsError, QueryJudgments,
-                             count_errors, full_report, improvement, pnd,
+                             count_errors, full_report, full_reports, improvement, pnd,
                              rank_metrics, z_test)
 from tests.conftest import random_unit
 
@@ -170,6 +171,23 @@ def test_full_report_csv_row_shape():
     rep = full_report(judgments_from(rng, 5), "cosine")
     assert isinstance(rep, EvalReport)
     assert len(rep.csv_row()) == 7
+
+
+def test_full_reports_score_each_query_once_for_every_measure(monkeypatch):
+    judgments = judgments_from(np.random.default_rng(5), 6)
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return similarity_matrix(*args)
+
+    similarity_matrix = metrics.similarity_matrix
+    monkeypatch.setattr(metrics, "similarity_matrix", counting)
+    reports = full_reports(judgments, MEASURES)
+    assert len(calls) == len(judgments)
+    for m in MEASURES:
+        assert reports[m] == full_report(judgments, m)
+        assert (reports[m].mrr, reports[m].map, reports[m].p_at_1) == rank_metrics(judgments, m)
 
 
 # --- improvement -----------------------------------------------------------------

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duotune import tensor as T
-from duotune.optim import (LossSpec, OptimError, Optimizer, OptimizerSpec,
+from duotune.optim import (ADADELTA_EPS, BETA1, BETA2, EPS, RHO, LossSpec,
+                           OptimError, Optimizer, OptimizerSpec,
                            SchedulerSpec, parse_scheduler, scale_lr,
                            scheduler_value, triplet_margin_loss,
                            triplet_margin_loss_np)
@@ -87,11 +88,11 @@ def test_adamw_matches_hand_computed_reference():
     params = {"w": np.array([w0])}
     Optimizer(spec).step(params, {"w": np.array([g])})
 
-    m = (1 - spec.beta1) * g
-    v = (1 - spec.beta2) * g * g
-    mhat = m / (1 - spec.beta1)
-    vhat = v / (1 - spec.beta2)
-    w1 = w0 - spec.lr * mhat / (math.sqrt(vhat) + spec.eps)
+    m = (1 - BETA1) * g
+    v = (1 - BETA2) * g * g
+    mhat = m / (1 - BETA1)
+    vhat = v / (1 - BETA2)
+    w1 = w0 - spec.lr * mhat / (math.sqrt(vhat) + EPS)
     w1 -= spec.lr * spec.weight_decay * w1  # decoupled decay after the moment update
     assert params["w"][0] == pytest.approx(w1, rel=1e-12)
 
@@ -109,7 +110,7 @@ def test_adamax_without_momentum_is_sign_like():
     params = {"w": np.array([1.0, 1.0, 1.0])}
     g = np.array([0.5, -2.0, 1e-30])
     Optimizer(spec).step(params, {"w": g})
-    expect = 1.0 - 0.01 * g / (np.abs(g) + spec.eps)
+    expect = 1.0 - 0.01 * g / (np.abs(g) + EPS)
     assert np.allclose(params["w"], expect, rtol=1e-12)
     # sign-like: nonzero gradients move by ~lr regardless of magnitude
     assert params["w"][0] == pytest.approx(1.0 - 0.01, rel=1e-6)
@@ -164,28 +165,28 @@ def reference_step(spec, state, t, params, grads, lr):
         elif spec.kind == "adamw":
             m = st.get("m", np.zeros_like(w, dtype=np.float64))
             v = st.get("v", np.zeros_like(w, dtype=np.float64))
-            m = spec.beta1 * m + (1 - spec.beta1) * g
-            v = spec.beta2 * v + (1 - spec.beta2) * (g * g)
+            m = BETA1 * m + (1 - BETA1) * g
+            v = BETA2 * v + (1 - BETA2) * (g * g)
             st["m"], st["v"] = m, v
-            mhat = m / (1 - spec.beta1 ** t)
-            vhat = v / (1 - spec.beta2 ** t)
-            w -= (lr * mhat / (np.sqrt(vhat) + spec.eps)).astype(w.dtype)
+            mhat = m / (1 - BETA1 ** t)
+            vhat = v / (1 - BETA2 ** t)
+            w -= (lr * mhat / (np.sqrt(vhat) + EPS)).astype(w.dtype)
         elif spec.kind == "adamax":
-            b1 = spec.beta1 if spec.momentum else 0.0
-            b2 = spec.beta2 if spec.momentum else 0.0
+            b1 = BETA1 if spec.momentum else 0.0
+            b2 = BETA2 if spec.momentum else 0.0
             m = st.get("m", np.zeros_like(w, dtype=np.float64))
             u = st.get("u", np.zeros_like(w, dtype=np.float64))
             m = b1 * m + (1 - b1) * g
             u = np.maximum(b2 * u, np.abs(g))
             st["m"], st["u"] = m, u
             denom = 1.0 - b1 ** t if b1 > 0 else 1.0
-            w -= (lr / denom * m / (u + spec.eps)).astype(w.dtype)
+            w -= (lr / denom * m / (u + EPS)).astype(w.dtype)
         elif spec.kind == "adadelta":
             eg = st.get("eg", np.zeros_like(w, dtype=np.float64))
             ed = st.get("ed", np.zeros_like(w, dtype=np.float64))
-            eg = spec.rho * eg + (1 - spec.rho) * (g * g)
-            delta = -np.sqrt(ed + spec.adadelta_eps) / np.sqrt(eg + spec.adadelta_eps) * g
-            ed = spec.rho * ed + (1 - spec.rho) * (delta * delta)
+            eg = RHO * eg + (1 - RHO) * (g * g)
+            delta = -np.sqrt(ed + ADADELTA_EPS) / np.sqrt(eg + ADADELTA_EPS) * g
+            ed = RHO * ed + (1 - RHO) * (delta * delta)
             st["eg"], st["ed"] = eg, ed
             w += (lr * delta).astype(w.dtype)
         if spec.weight_decay != 0.0:
@@ -261,11 +262,11 @@ def test_scheduler_values_non_increasing(spec):
 
 
 def test_parse_scheduler_forms():
-    assert parse_scheduler("none", 1e-7, 0).kind == "none"
-    assert parse_scheduler("L", 1e-7, 100).total_steps == 100
-    assert parse_scheduler("E:0.98", 1e-7, 0).gamma == 0.98
+    assert parse_scheduler("none", 0).kind == "none"
+    assert parse_scheduler("L", 100).total_steps == 100
+    assert parse_scheduler("E:0.98", 0).gamma == 0.98
     with pytest.raises(OptimError):
-        parse_scheduler("X", 1e-7, 0)
+        parse_scheduler("X", 0)
 
 
 # --- LR scaling rules -----------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from duotune import tensor as T
 from duotune.data import TripletSample
 from duotune.encoder import DualEncoder, EncoderConfig, Vocab, trees_equal
-from duotune.optim import LossSpec, OptimizerSpec
+from duotune.optim import LossSpec, OptimError, OptimizerSpec, SchedulerSpec
 from duotune.tuning import (RunRecord, TuneConfig, TuningError, tune, validate,
                             validate_samples, _tokenize_triplets)
 
@@ -66,10 +66,19 @@ def test_config_validation():
         with pytest.raises(TuningError):
             TuneConfig(**bad)
     assert TuneConfig(max_epochs=0).max_epochs == 0
+    # an L or Q schedule must reach the last step: 3 epochs x 5 batches end at step 14
+    short = dict(epoch_size=5, max_epochs=3)
+    for bad in (dict(short, scheduler=SchedulerSpec("L", total_steps=13)),
+                dict(short, scheduler=SchedulerSpec("Q", total_steps=8)),
+                dict(scheduler=SchedulerSpec("L", total_steps=999998))):
+        with pytest.raises(OptimError, match="beyond total_steps"):
+            TuneConfig(**bad)
+    assert TuneConfig(**short, scheduler=SchedulerSpec("L", total_steps=14)).max_epochs == 3
+    assert TuneConfig(scheduler=SchedulerSpec("Q", total_steps=999999)).max_epochs == 1000
 
 
 def test_config_dict_roundtrip():
-    cfg = small_config(scheduler=None)
+    cfg = small_config(scheduler=SchedulerSpec("E", gamma=0.9))
     again = TuneConfig.from_dict(cfg.to_dict())
     assert again == cfg
 
