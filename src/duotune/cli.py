@@ -78,10 +78,10 @@ def _scheduler(args, text: str):
                                      f"{e}; set --scheduler-steps >= 1") from None
 
 
-def _read(flag: str, path, load, size=len):
+def _read(flag: str, path, load):
     """load(path); a file that holds no records is a usage error naming `flag`."""
     records = load(path)
-    if size(records) == 0:
+    if not records:
         raise argparse.ArgumentError(None, f"argument {flag}: {path} holds no records")
     return records
 
@@ -189,7 +189,7 @@ def _tune_config_from_args(args) -> TuneConfig:
             optimizer=OptimizerSpec(kind=args.optimizer, lr=lr, weight_decay=args.weight_decay,
                                     momentum=not args.no_momentum),
             scheduler=_scheduler(args, args.scheduler), loss=LossSpec(margin=args.margin),
-            seed=args.seed, mode=args.mode)
+            seed=args.seed, mode=args.mode).check_schedule()
     except OptimError as e:     # the flag types leave only the schedule's length
         raise argparse.ArgumentError(args.tune_flags["scheduler_steps"],
                                      f"the run's last {e}") from None
@@ -267,7 +267,7 @@ def cmd_eval(args) -> int:
 def cmd_grid_eval(args) -> int:
     model = load_dual(args.model)
     vocab = Vocab.load(args.vocab)
-    corpus = _read("--pairs", args.pairs, PairCorpus.load, lambda c: c.n_per_label)
+    corpus = _read("--pairs", args.pairs, PairCorpus.load)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for m, report in grid_reports(model, corpus, _measures(args.measure), vocab).items():
@@ -295,7 +295,7 @@ def _sweep_values(args, base: TuneConfig) -> list:
         values = [_scheduler(args, v) for v in values]
     for v in values:
         try:
-            lab.apply_axis_value(base, args.axis, v)
+            lab.apply_axis_value(base, args.axis, v).check_schedule()
         except OptimError as e:     # a schedule shorter than the point's run
             raise argparse.ArgumentError(args.tune_flags["scheduler_steps"],
                                          f"{flag.option_strings[0]} {v}: last {e}") from None
@@ -321,8 +321,7 @@ def cmd_sweep(args) -> int:
         eval_sets[name] = _read("--eval", path, D.read_triplets)
     if not eval_sets:
         raise SystemExit("sweep needs at least one --eval name=path")
-    grid_corpus = (_read("--pairs", args.pairs, PairCorpus.load, lambda c: c.n_per_label)
-                   if args.pairs else None)
+    grid_corpus = _read("--pairs", args.pairs, PairCorpus.load) if args.pairs else None
     spec = lab.SweepSpec(axis=args.axis, values=values, base=base,
                          eval_sets=eval_sets, grid_corpus=grid_corpus,
                          ztest_variant=args.ztest_variant)

@@ -40,8 +40,7 @@ class PairCorpus:
                 if missing:
                     raise GridError(f"{lbl} pair {i} missing translations: {missing}")
 
-    @property
-    def n_per_label(self) -> int:
+    def __len__(self) -> int:       # pairs per label
         return len(self.pairs[LABELS[0]])
 
     @classmethod
@@ -115,7 +114,7 @@ def grid_reports(model: DualEncoder, corpus: PairCorpus, measures: Sequence[str]
                 toks = [vocab.encode(pair[lang][side], max_len) for pair in corpus.pairs[lbl]]
                 emb[(side, lbl, lang)] = encode_many(params, toks, model.config).astype(np.float64)
 
-    reports = {m: PairGridReport(list(corpus.languages), m, corpus.n_per_label,
+    reports = {m: PairGridReport(list(corpus.languages), m, len(corpus),
                                  {c: np.zeros((K, K), dtype=np.int64) for c in CONTRAST_LABELS})
                for m in measures}
     for qi, lq in enumerate(corpus.languages):

@@ -41,9 +41,9 @@ def triplet_margin_loss_np(a: np.ndarray, p: np.ndarray, n: np.ndarray,
 
 # --- optimizers -----------------------------------------------------------
 
-# Fixed constants, keyed by the OptimizerSpec fields that held them in older manifests
-FIXED = {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "rho": 0.9, "adadelta_eps": 1e-6}
-BETA1, BETA2, EPS, RHO, ADADELTA_EPS = FIXED.values()
+BETA1, BETA2, EPS, RHO, ADADELTA_EPS = 0.9, 0.999, 1e-8, 0.9, 1e-6
+# the same, keyed by the OptimizerSpec fields that held them in older manifests
+FIXED = {"beta1": BETA1, "beta2": BETA2, "eps": EPS, "rho": RHO, "adadelta_eps": ADADELTA_EPS}
 
 
 @dataclass(frozen=True)

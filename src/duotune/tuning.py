@@ -67,9 +67,14 @@ class TuneConfig:
                               f"of {self.batch_size} under the samples epoch policy")
         if self.mode not in ("query-only", "both-tuned"):
             raise TuningError(f"unknown mode {self.mode!r}")
-        # a schedule starts from the optimizer's lr and must give one at the last step
+        # a schedule starts from the optimizer's lr
         object.__setattr__(self, "scheduler", replace(self.scheduler, lr0=self.optimizer.lr))
+
+    def check_schedule(self) -> "TuneConfig":
+        """self, once the schedule reaches the run's last step (else OptimError). Only
+        new runs are checked: idle epochs may end a recorded run before its schedule."""
         scheduler_value(self.scheduler, max(0, self.max_epochs * self.batches_per_epoch - 1))
+        return self
 
     def to_dict(self) -> dict:
         return asdict(self)

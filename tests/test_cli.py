@@ -117,6 +117,25 @@ def test_replay_reads_an_older_manifest(workspace, tmp_path, edit):
         assert (first / name).read_bytes() == (again / name).read_bytes(), name
 
 
+def test_replay_reads_a_schedule_that_ends_before_max_epochs(workspace, tmp_path):
+    # an L schedule shorter than max_epochs x batches was valid when idle-epoch
+    # stopping ended the run first; only a new run is held to the longer bound
+    p = corpus_paths(workspace)
+    first = tmp_path / "first"
+    assert run_tune(p, first, "--lr", "1e-3", "--idle-epochs", "1", "--max-epochs", "20",
+                    "--scheduler", "L", "--scheduler-steps", "39") == 0
+    record = json.loads((first / "run.json").read_text())
+    assert record["stop_reason"] == "1 consecutive idle epochs"
+    manifest = json.loads((first / "manifest.json").read_text())
+    manifest["config"]["tune"]["max_epochs"] = 1000     # last step 1999, past the schedule
+    older = tmp_path / "older-manifest.json"
+    older.write_text(json.dumps(manifest))
+    again = tmp_path / "again"
+    assert main(["replay", "--manifest", str(older), "--out", str(again)]) == 0
+    for name in ("model.ckpt", "run.json"):
+        assert (first / name).read_bytes() == (again / name).read_bytes(), name
+
+
 def test_replay_refuses_an_optimizer_constant_it_cannot_reproduce(workspace, tmp_path):
     p = corpus_paths(workspace)
     first = tmp_path / "first"

@@ -66,15 +66,18 @@ def test_config_validation():
         with pytest.raises(TuningError):
             TuneConfig(**bad)
     assert TuneConfig(max_epochs=0).max_epochs == 0
-    # an L or Q schedule must reach the last step: 3 epochs x 5 batches end at step 14
+    # a new run's L or Q schedule must reach the last step: 3 epochs x 5 batches
+    # end at step 14. A config alone is not checked, so a recorded run still loads.
     short = dict(epoch_size=5, max_epochs=3)
     for bad in (dict(short, scheduler=SchedulerSpec("L", total_steps=13)),
                 dict(short, scheduler=SchedulerSpec("Q", total_steps=8)),
                 dict(scheduler=SchedulerSpec("L", total_steps=999998))):
+        cfg = TuneConfig(**bad)
         with pytest.raises(OptimError, match="beyond total_steps"):
-            TuneConfig(**bad)
-    assert TuneConfig(**short, scheduler=SchedulerSpec("L", total_steps=14)).max_epochs == 3
-    assert TuneConfig(scheduler=SchedulerSpec("Q", total_steps=999999)).max_epochs == 1000
+            cfg.check_schedule()
+    cfg = TuneConfig(**short, scheduler=SchedulerSpec("L", total_steps=14))
+    assert cfg.check_schedule() is cfg
+    assert TuneConfig(scheduler=SchedulerSpec("Q", total_steps=999999)).check_schedule()
 
 
 def test_config_dict_roundtrip():
