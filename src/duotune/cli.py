@@ -79,8 +79,13 @@ def _scheduler(args, text: str):
 
 
 def _read(flag: str, path, load):
-    """load(path); a file that holds no records is a usage error naming `flag`."""
-    records = load(path)
+    """load(path). A file that `load` cannot read, or that holds no records, is
+    a usage error naming `flag` and `path`."""
+    try:
+        records = load(path)
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        raise argparse.ArgumentError(
+            None, f"argument {flag}: {path}: {type(e).__name__}: {e}") from None
     if not records:
         raise argparse.ArgumentError(None, f"argument {flag}: {path} holds no records")
     return records
@@ -111,14 +116,13 @@ def cmd_gen_synth(args) -> int:
     corpus = D.gen_synth_corpus(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write(out / "vocab.txt", "\n".join(corpus.vocab_tokens) + "\n")
+    Vocab(corpus.vocab_tokens).save(out / "vocab.txt")
     D.write_triplets(corpus.pretrain, out / "pretrain.jsonl")
     D.write_triplets(corpus.tune_lang0, out / "tune_lang0.jsonl")
     for k, triplets in corpus.heldout.items():
         D.write_triplets(triplets, out / f"heldout_lang{k}.jsonl")
-    with open(out / "pairs.jsonl", "w", encoding="utf-8", newline="\n") as fh:
-        for rec in corpus.pair_records:
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+    _write(out / "pairs.jsonl", "".join(json.dumps(rec, ensure_ascii=False) + "\n"
+                                        for rec in corpus.pair_records))
     _write(out / "spec.json", json.dumps(dataclasses.asdict(spec), sort_keys=True,
                                          indent=2) + "\n")
     print(f"wrote synthetic corpus ({spec.n_languages} languages) to {out}")
@@ -126,7 +130,7 @@ def cmd_gen_synth(args) -> int:
 
 
 def cmd_init_model(args) -> int:
-    vocab = Vocab.load(args.vocab)
+    vocab = _read("--vocab", args.vocab, Vocab.load)
     try:
         config = EncoderConfig(vocab_size=len(vocab), hidden=args.hidden,
                                n_blocks=args.blocks, n_heads=args.heads,
@@ -142,8 +146,10 @@ def cmd_init_model(args) -> int:
 
 
 def cmd_split(args) -> int:
-    samples = D.read_triplets(args.input)
-    train, valid, evals = D.split_msmarco(samples)
+    def load(path):
+        samples = D.read_triplets(path)
+        return samples, D.split_msmarco(samples)
+    samples, (train, valid, evals) = _read("--input", args.input, load)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     D.write_triplets(train, out / "train.jsonl")
@@ -155,12 +161,9 @@ def cmd_split(args) -> int:
 
 
 def cmd_mine_arxiv(args) -> int:
-    with open(args.input, encoding="utf-8") as fh:
-        records = [D.ArxivRecord.from_json(line) for line in fh if line.strip()]
-    entries, stats = D.mine_arxiv_negatives(records, args.max_category_size, args.seed)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        for e in entries:
-            fh.write(e.to_json() + "\n")
+    entries, stats = _read("--input", args.input, lambda path: D.mine_arxiv_negatives(
+        D.read_jsonl(path, D.ArxivRecord.from_json), args.max_category_size, args.seed))
+    _write(Path(args.out), "".join(e.to_json() + "\n" for e in entries))
     frac = stats.all_distinct_top20 / max(1, len(entries))
     print(f"mined {len(entries)} entries; {stats.all_distinct_top20} "
           f"({100 * frac:.1f}%) with 20 distinct negatives; "
@@ -169,8 +172,8 @@ def cmd_mine_arxiv(args) -> int:
 
 
 def cmd_make_triplets(args) -> int:
-    with open(args.negatives, encoding="utf-8") as fh:
-        entries = [D.NegativesEntry.from_json(line) for line in fh if line.strip()]
+    entries = _read("--negatives", args.negatives,
+                    lambda path: D.read_jsonl(path, D.NegativesEntry.from_json))
     triplets = D.make_arxiv_triplets(entries, args.flavor, args.difficulty)
     D.write_triplets(triplets, args.out)
     print(f"wrote {len(triplets)} {args.flavor} triplets (difficulty {args.difficulty})")
@@ -197,44 +200,36 @@ def _tune_config_from_args(args) -> TuneConfig:
         raise argparse.ArgumentError(args.tune_flags["epoch_size"], str(e)) from None
 
 
-def _run_tune(model_path, train_path, valid_path, vocab_path, cfg: TuneConfig,
-              out_dir: Path) -> None:
-    model = load_dual(model_path)
-    vocab = Vocab.load(vocab_path)
-    train = _read("--train", train_path, D.read_triplets)
-    valid = _read("--valid", valid_path, D.read_triplets)
+def _run_tune(paths: dict, cfg: TuneConfig, out_dir: Path) -> None:
+    """Tune the model of `paths` (keys model, train, valid, vocab) and write
+    its checkpoint, run record and a manifest of `paths` and their digests."""
+    model = _read("--model", paths["model"], load_dual)
+    vocab = _read("--vocab", paths["vocab"], Vocab.load)
+    train = _read("--train", paths["train"], D.read_triplets)
+    valid = _read("--valid", paths["valid"], D.read_triplets)
     best, record = tune(model, train, valid, cfg, vocab)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     save_dual(best, out_dir / "model.ckpt")
     _write(out_dir / "run.json",
            json.dumps(record.to_dict(), sort_keys=True, indent=2) + "\n")
-    inputs = {
-        "model": lab.file_digest(model_path),
-        "train": lab.file_digest(train_path),
-        "valid": lab.file_digest(valid_path),
-        "vocab": lab.file_digest(vocab_path),
-    }
-    config = {
-        "tune": cfg.to_dict(),
-        "paths": {"model": str(model_path), "train": str(train_path),
-                  "valid": str(valid_path), "vocab": str(vocab_path)},
-    }
+    config = {"tune": cfg.to_dict(), "paths": {k: str(p) for k, p in paths.items()}}
+    inputs = {k: lab.file_digest(p) for k, p in paths.items()}
     _write(out_dir / "manifest.json",
-           lab.manifest_json("tune", config, cfg.seed, inputs,
-                             ["model.ckpt", "run.json"]))
+           lab.manifest_json("tune", config, cfg.seed, inputs, ["model.ckpt", "run.json"]))
 
 
 def cmd_tune(args) -> int:
     cfg = _tune_config_from_args(args)
-    _run_tune(args.model, args.train, args.valid, args.vocab, cfg, Path(args.out))
+    _run_tune({k: getattr(args, k) for k in ("model", "train", "valid", "vocab")}, cfg,
+              Path(args.out))
     print(f"tuned model written to {args.out}")
     return 0
 
 
 def cmd_replay(args) -> int:
-    with open(args.manifest, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read("--manifest", args.manifest,
+                lambda path: json.loads(Path(path).read_text(encoding="utf-8")))
     if doc.get("command") != "tune":
         raise SystemExit("only tune manifests can be replayed")
     paths = doc["config"]["paths"]
@@ -246,15 +241,14 @@ def cmd_replay(args) -> int:
         cfg = TuneConfig.from_dict(doc["config"]["tune"])
     except (TuningError, ValueError) as e:
         raise SystemExit(f"{args.manifest}: {e}") from None
-    _run_tune(paths["model"], paths["train"], paths["valid"], paths["vocab"],
-              cfg, Path(args.out))
+    _run_tune(paths, cfg, Path(args.out))
     print(f"replayed run into {args.out}")
     return 0
 
 
 def cmd_eval(args) -> int:
-    model = load_dual(args.model)
-    vocab = Vocab.load(args.vocab)
+    model = _read("--model", args.model, load_dual)
+    vocab = _read("--vocab", args.vocab, Vocab.load)
     samples = _read("--data", args.data, D.read_triplets)
     reports = lab.evaluate_triplets(model, samples, vocab, _measures(args.measure))
     csv = lab.eval_csv(reports)
@@ -265,8 +259,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_grid_eval(args) -> int:
-    model = load_dual(args.model)
-    vocab = Vocab.load(args.vocab)
+    model = _read("--model", args.model, load_dual)
+    vocab = _read("--vocab", args.vocab, Vocab.load)
     corpus = _read("--pairs", args.pairs, PairCorpus.load)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -311,8 +305,8 @@ def cmd_sweep(args) -> int:
             f"--axis {args.axis}: a sweep point cannot carry its own scaled lr")
     base = _tune_config_from_args(args)
     values = _sweep_values(args, base)
-    model = load_dual(args.model)
-    vocab = Vocab.load(args.vocab)
+    model = _read("--model", args.model, load_dual)
+    vocab = _read("--vocab", args.vocab, Vocab.load)
     train = _read("--train", args.train, D.read_triplets)
     valid = _read("--valid", args.valid, D.read_triplets)
     eval_sets = {}
@@ -341,8 +335,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    before = load_dual(args.before)
-    after = load_dual(args.after)
+    before = _read("--before", args.before, load_dual)
+    after = _read("--after", args.after, load_dual)
     report = lab.diagnose_layers(before.query_params, after.query_params)
     csv = lab.csv_text(
         ["name", "w_before", "w_after", "changed", "max_abs_after", "relative_shift"],

@@ -1,5 +1,5 @@
 """Dataset plumbing: triplet formats, split arithmetic, the hard-negative
-miner with Jensen-Shannon ranking, QA-corpus transforms, and the synthetic
+miner with Jensen-Shannon ranking and its arxiv triplets, and the synthetic
 cipher-language corpus generator for desk-scale experiments.
 """
 
@@ -9,8 +9,8 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -50,9 +50,14 @@ def write_triplets(samples: Iterable[TripletSample], path) -> None:
             fh.write(s.to_json() + "\n")
 
 
-def read_triplets(path) -> List[TripletSample]:
+def read_jsonl(path, from_json) -> list:
+    """`from_json(line)` for each non-blank line of `path`."""
     with open(path, encoding="utf-8") as fh:
-        return [TripletSample.from_json(line) for line in fh if line.strip()]
+        return [from_json(line) for line in fh if line.strip()]
+
+
+def read_triplets(path) -> List[TripletSample]:
+    return read_jsonl(path, TripletSample.from_json)
 
 
 # --- split / expansion ----------------------------------------------------
@@ -90,11 +95,6 @@ def expand_eval(samples: Sequence[TripletSample]) -> List[TripletSample]:
             for ng in s.negatives:
                 out.append(TripletSample(s.query, [p], [ng]))
     return out
-
-
-def filter_min_negatives(samples: Sequence[TripletSample], min_negatives: int = 65
-                         ) -> List[TripletSample]:
-    return [s for s in samples if len(s.negatives) >= min_negatives]
 
 
 # --- Jensen-Shannon distance and the arxiv-negatives miner -----------------
@@ -266,15 +266,12 @@ def make_arxiv_triplets(entries: Sequence[NegativesEntry], flavor: str,
         raise DataError("difficulty must lie in 1..21")
     by_id = {e.record.id: e.record for e in entries}
     out: List[TripletSample] = []
-    skipped = 0
     for e in entries:
         neg_rec = by_id.get(e.neighbor_ids[difficulty - 1])
         if neg_rec is None:
-            skipped += 1
             continue
         if flavor == "title":
             if not e.record.title:
-                skipped += 1
                 continue
             out.append(TripletSample(e.record.title, [e.record.abstract],
                                      [neg_rec.abstract]))
@@ -282,49 +279,12 @@ def make_arxiv_triplets(entries: Sequence[NegativesEntry], flavor: str,
             q_sents = split_sentences(e.record.abstract)
             n_sents = split_sentences(neg_rec.abstract)
             if len(q_sents) < 2 or len(n_sents) < 2:
-                skipped += 1
                 continue
             first = q_sents[0][0]
             rest = e.record.abstract[q_sents[1][1]:]
             neg_rest = neg_rec.abstract[n_sents[1][1]:]
             out.append(TripletSample(first, [rest], [neg_rest]))
     return out
-
-
-# --- SQUAD / HotpotQA transforms -------------------------------------------
-
-def transform_squad(paragraph: str, query: str, answer_spans: Sequence[Tuple[int, int]],
-                    min_candidates: Optional[int] = None) -> Optional[TripletSample]:
-    """Sentences overlapping an answer span become positives, the rest
-    negatives. Returns None when the sample does not qualify."""
-    sents = split_sentences(paragraph)
-    for a, b in answer_spans:
-        if a < 0 or b > len(paragraph) or a >= b:
-            raise DataError(f"answer span ({a}, {b}) outside paragraph bounds")
-    if min_candidates is not None and len(sents) < min_candidates:
-        return None
-    positives, negatives = [], []
-    for s, a, b in sents:
-        hit = any(not (eb <= a or sb >= b) for sb, eb in answer_spans)
-        (positives if hit else negatives).append(s)
-    if not positives or not negatives:
-        return None
-    return TripletSample(query, positives, negatives)
-
-
-def transform_hotpotqa(question: str, passages: Sequence[Tuple[str, bool]],
-                       level: str, min_passages: int = 10
-                       ) -> Optional[Tuple[str, TripletSample]]:
-    """(difficulty level, sample); None when fewer than `min_passages`."""
-    if level not in ("easy", "medium", "hard"):
-        raise DataError(f"missing or unknown difficulty level {level!r}")
-    if len(passages) < min_passages:
-        return None
-    positives = [t for t, gold in passages if gold]
-    negatives = [t for t, gold in passages if not gold]
-    if not positives or not negatives:
-        return None
-    return level, TripletSample(question, positives, negatives)
 
 
 # --- synthetic cipher-language corpus ---------------------------------------
@@ -358,10 +318,6 @@ class SynthCorpus:
     tune_lang0: List[TripletSample]
     heldout: Dict[int, List[TripletSample]]  # language -> triplets
     pair_records: List[dict]                 # line records for the grid corpus
-
-    @property
-    def languages(self) -> List[str]:
-        return [f"lang{k}" for k in range(self.spec.n_languages)]
 
 
 def _render(token_indices: Sequence[int], lang_map: np.ndarray,

@@ -48,13 +48,6 @@ class EncoderConfig:
         if self.hidden % self.n_heads != 0:
             raise EncoderError("hidden must be divisible by n_heads")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EncoderConfig":
-        return cls(**d)
-
 
 def param_shapes(config: EncoderConfig) -> Dict[str, tuple]:
     """Name -> shape, in stable iteration order."""
@@ -288,7 +281,7 @@ class Vocab:
         return ids
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             for t in self.tokens[2:]:
                 fh.write(t + "\n")
 
@@ -339,7 +332,7 @@ def save_dual(model: DualEncoder, path) -> None:
         "version": CHECKPOINT_VERSION,
         "dtype": dtype.name,
         "mode": model.mode,
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
     }
     lines = [json.dumps(header, sort_keys=True)]
     for section, tree in (("query", model.query_params), ("text", model.text_params)):
@@ -368,7 +361,7 @@ def load_dual(path) -> DualEncoder:
                            f"expected {CHECKPOINT_VERSION}")
     try:
         dtype = np.dtype(header["dtype"])
-        config = EncoderConfig.from_dict(header["config"])
+        config = EncoderConfig(**header["config"])
         mode = header["mode"]
     except (KeyError, TypeError) as e:
         raise EncoderError(f"{path}: bad checkpoint header field {e}") from e

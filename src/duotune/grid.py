@@ -11,6 +11,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from .data import read_jsonl
 from .encoder import DualEncoder, Vocab, encode_many, measure_from_dots
 from .metrics import count_errors, z_test
 
@@ -67,18 +68,7 @@ class PairCorpus:
 
     @classmethod
     def load(cls, path) -> "PairCorpus":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_records([json.loads(line) for line in fh if line.strip()])
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for lbl in LABELS:
-                for i, pair in enumerate(self.pairs[lbl]):
-                    for lang in self.languages:
-                        s1, s2 = pair[lang]
-                        fh.write(json.dumps({"pair_id": f"{lbl[:3]}{i:05d}", "label": lbl,
-                                             "language": lang, "sentence1": s1,
-                                             "sentence2": s2}, ensure_ascii=False) + "\n")
+        return cls.from_records(read_jsonl(path, json.loads))
 
 
 @dataclass

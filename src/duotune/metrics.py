@@ -94,16 +94,14 @@ def full_reports(judgments: Sequence[QueryJudgments],
     return reports
 
 
-def full_report(judgments: Sequence[QueryJudgments], measure: str) -> EvalReport:
+def pnd(judgments: Sequence[QueryJudgments], measure: str) -> EvalReport:
+    """`full_reports` under one measure: PND with the rank metrics."""
     return full_reports(judgments, (measure,))[measure]
-
-
-pnd = full_report   # PND (with the rank metrics); perfbench/tracer.py wraps this name
 
 
 def rank_metrics(judgments: Sequence[QueryJudgments], measure: str) -> Tuple[float, float, float]:
     """(MRR, MAP, P@1) with descending similarity and stable tie order."""
-    rep = full_report(judgments, measure)
+    rep = pnd(judgments, measure)
     return rep.mrr, rep.map, rep.p_at_1
 
 

@@ -68,9 +68,6 @@ class Rng:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
-    def choice(self, seq, size=None, replace=True):
-        return self._gen.choice(seq, size=size, replace=replace)
-
 
 class Tensor:
     """A tape node: immutable ndarray plus an optional backward closure."""

@@ -2,6 +2,7 @@
 replay reproducibility."""
 
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -48,6 +49,28 @@ def test_gen_synth_writes_the_expected_files(workspace):
                  "spec.json"):
         assert (c / name).exists(), name
     assert len(read_triplets(c / "tune_lang0.jsonl")) == 24
+
+
+# SHA-256 of every file `gen-synth` writes for the spec below: a change to a
+# file writer or to the generator's random streams shows here.
+GEN_SYNTH_DIGESTS = {
+    "heldout_lang0.jsonl": "0a6e23c7169a87df5f0fdc838873a8a70ff492654adc37e620a1ab6dac629da2",
+    "heldout_lang1.jsonl": "ece46cfc07febf47eb48a6c24745e69297108573f7af2c400ceb68c9e0ac01b3",
+    "pairs.jsonl": "75dc1f2e51decc6a25f3bea19f72d18a219b59c492a23eb5f0b6be360503a59e",
+    "pretrain.jsonl": "9d75e3d4059902da66b54036e6f43885ed4eaa399bc385f0647317ec43bb3516",
+    "spec.json": "f62d36a852e2250c7ef9eb962467677245c895373d5d490e00397f1cfad88701",
+    "tune_lang0.jsonl": "7de4830dfb74d3fb74e9e64981dfa2c4fc2d95c67afed55c4ce111fddcbe3eaa",
+    "vocab.txt": "04fbb5cb4cb03644f171ec06118b096785fb62a775b84477578c56d146b4c941",
+}
+
+
+def test_gen_synth_writes_the_same_bytes(tmp_path):
+    out = tmp_path / "corpus"
+    assert main(["gen-synth", "--out", str(out), "--languages", "2", "--vocab-size", "48",
+                 "--topics", "4", "--pretrain", "4", "--tune", "4", "--heldout", "3",
+                 "--pairs-per-label", "2", "--seed", "7"]) == 0
+    assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in out.iterdir()} == GEN_SYNTH_DIGESTS
 
 
 def test_split_round_trip(workspace, tmp_path):
@@ -346,6 +369,46 @@ def test_empty_input_files_are_usage_errors(workspace, empty_files, tmp_path, ca
         main([cmd, *args, "--out", str(out)])
     assert exc.value.code == 2
     assert f"argument {flag}: {empty} holds no records" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd, flag, content", [
+    ("split", "--input", "two triplets"),
+    ("mine-arxiv", "--input", ""),
+    ("make-triplets", "--negatives", ""),
+    ("eval", "--data", None),                                   # no such file
+    ("eval", "--data", "not json\n"),
+    ("eval", "--data", '{"query": "w010", "pos": ["w011"]}\n'),   # no "neg"
+    ("grid-eval", "--pairs", "triplets"),
+    ("eval", "--model", "triplets"),
+    ("tune", "--vocab", None),
+    ("diagnose", "--after", "not a checkpoint\n"),
+    ("replay", "--manifest", None),
+])
+def test_unreadable_input_files_are_usage_errors(workspace, tmp_path, capsys, cmd, flag,
+                                                 content):
+    p = corpus_paths(workspace)
+    bad = tmp_path / "bad.jsonl"
+    triplets = p["evals"].read_text().splitlines(keepends=True)
+    if content is not None:
+        bad.write_text({"triplets": "".join(triplets),
+                        "two triplets": "".join(triplets[:2])}.get(content, content))
+    files = {"--model": p["model"], "--vocab": p["vocab"], "--data": p["evals"],
+             "--train": p["train"], "--valid": p["valid"], "--pairs": p["pairs"],
+             "--before": p["model"], "--after": p["model"], flag: bad}
+    names = {"split": ["--input"], "mine-arxiv": ["--input"], "make-triplets": ["--negatives"],
+             "eval": ["--model", "--vocab", "--data"],
+             "grid-eval": ["--model", "--vocab", "--pairs"],
+             "tune": ["--model", "--vocab", "--train", "--valid"],
+             "diagnose": ["--before", "--after"], "replay": ["--manifest"]}[cmd]
+    args = [x for name in names for x in (name, str(files[name]))]
+    if cmd == "make-triplets":
+        args += ["--flavor", "title"]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, *args, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument {flag}: {bad}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,5 +1,5 @@
 """Data pipeline: splits, triplet expansion, JS distance, the hard-negative
-miner, QA transforms, and the synthetic cipher-language corpus."""
+miner, and the synthetic cipher-language corpus."""
 
 import json
 import math
@@ -12,11 +12,10 @@ from hypothesis import strategies as st
 
 from duotune.data import (ArxivRecord, DataError, NegativesEntry,
                           SynthCorpusSpec, TripletSample, expand_eval,
-                          filter_min_negatives, gen_synth_corpus, js_distance,
+                          gen_synth_corpus, js_distance,
                           make_arxiv_triplets, mine_arxiv_negatives,
                           read_triplets, split_msmarco, split_sentences,
-                          token_histogram, transform_hotpotqa, transform_squad,
-                          write_triplets, MSMARCO_TOTAL)
+                          token_histogram, write_triplets, MSMARCO_TOTAL)
 
 
 def sample(i=0, n_pos=1, n_neg=1):
@@ -65,12 +64,6 @@ def test_expand_eval_cross_product():
     # every (pos, neg) combination appears exactly once
     combos = {(t.positives[0], t.negatives[0]) for t in out}
     assert len(combos) == 6
-
-
-def test_min_negatives_filter():
-    keep = sample(0, 1, 65)
-    drop = sample(1, 1, 64)
-    assert filter_min_negatives([keep, drop], 65) == [keep]
 
 
 # --- Jensen-Shannon distance --------------------------------------------------------
@@ -265,7 +258,7 @@ def test_triplet_maker_validates_arguments():
         make_arxiv_triplets([e], "title", 22)
 
 
-# --- sentence splitting and QA transforms ----------------------------------------------
+# --- sentence splitting ------------------------------------------------------------
 
 def test_split_sentences_spans_cover_the_text():
     text = "One two. Three four! Five six? Seven"
@@ -275,47 +268,6 @@ def test_split_sentences_spans_cover_the_text():
         assert text[a:b] == s
 
 
-def test_squad_answer_in_second_of_four_sentences():
-    para = "Alpha one. Beta two. Gamma three. Delta four."
-    start = para.index("Beta")
-    t = transform_squad(para, "which?", [(start, start + 4)])
-    assert t.positives == ["Beta two."]
-    assert len(t.negatives) == 3
-
-
-def test_squad_min_candidates_filter():
-    para = "Alpha one. Beta two. Gamma three. Delta four."
-    start = para.index("Beta")
-    assert transform_squad(para, "q", [(start, start + 4)], min_candidates=5) is None
-    assert transform_squad(para, "q", [(start, start + 4)], min_candidates=4) is not None
-
-
-def test_squad_rejects_out_of_bounds_spans():
-    with pytest.raises(DataError):
-        transform_squad("Short text.", "q", [(5, 100)])
-
-
-def test_squad_keeps_text_verbatim():
-    para = "Keep,  exact   spacing. Second sentence here."
-    t = transform_squad(para, "q", [(0, 4)])
-    assert t.positives == ["Keep,  exact   spacing."]
-    assert t.negatives == ["Second sentence here."]
-
-
-def test_hotpotqa_partitioning():
-    passages = [(f"p{i}", i < 2) for i in range(10)]
-    level, t = transform_hotpotqa("q", passages, "medium")
-    assert level == "medium"
-    assert len(t.positives) == 2 and len(t.negatives) == 8
-
-
-def test_hotpotqa_min_passages_and_level_validation():
-    passages = [(f"p{i}", i < 2) for i in range(9)]
-    assert transform_hotpotqa("q", passages, "easy") is None
-    with pytest.raises(DataError):
-        transform_hotpotqa("q", [("p", True)] * 10, "extreme")
-
-
 # --- synthetic corpus ---------------------------------------------------------------
 
 def test_synth_corpus_single_language_grid():
@@ -323,7 +275,6 @@ def test_synth_corpus_single_language_grid():
                            n_pretrain=10, n_tune=10, n_heldout=5,
                            n_pairs_per_label=3, seed=0)
     corpus = gen_synth_corpus(spec)
-    assert corpus.languages == ["lang0"]
     assert {r["language"] for r in corpus.pair_records} == {"lang0"}
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from duotune import tensor as T
+from duotune.cli import main
 from duotune.data import SynthCorpusSpec, gen_synth_corpus
 from duotune.encoder import (MEASURES, DualEncoder, EncoderConfig, Vocab, encode,
                              similarity)
@@ -52,11 +53,13 @@ def test_pair_corpus_requires_full_translation_coverage():
         PairCorpus.from_records(records)
 
 
-def test_pair_corpus_jsonl_roundtrip(tmp_path):
+def test_pair_corpus_loads_what_gen_synth_wrote(tmp_path):
+    out = tmp_path / "corpus"
+    assert main(["gen-synth", "--out", str(out), "--languages", "3", "--vocab-size", "36",
+                 "--topics", "4", "--pretrain", "2", "--tune", "2", "--heldout", "2",
+                 "--pairs-per-label", "5"]) == 0
     corpus, _ = synth_corpus_and_vocab()
-    path = tmp_path / "pairs.jsonl"
-    corpus.save(path)
-    again = PairCorpus.load(path)
+    again = PairCorpus.load(out / "pairs.jsonl")
     assert again.languages == corpus.languages
     assert again.pairs == corpus.pairs
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from duotune import metrics
 from duotune.encoder import MEASURES, similarity
 from duotune.metrics import (EvalReport, MetricsError, QueryJudgments,
-                             count_errors, full_report, full_reports, improvement, pnd,
+                             count_errors, full_reports, improvement, pnd,
                              rank_metrics, z_test)
 from tests.conftest import random_unit
 
@@ -168,7 +168,7 @@ def test_rank_metrics_need_a_positive():
 
 def test_full_report_csv_row_shape():
     rng = np.random.default_rng(4)
-    rep = full_report(judgments_from(rng, 5), "cosine")
+    rep = pnd(judgments_from(rng, 5), "cosine")
     assert isinstance(rep, EvalReport)
     assert len(rep.csv_row()) == 7
 
@@ -186,7 +186,7 @@ def test_full_reports_score_each_query_once_for_every_measure(monkeypatch):
     reports = full_reports(judgments, MEASURES)
     assert len(calls) == len(judgments)
     for m in MEASURES:
-        assert reports[m] == full_report(judgments, m)
+        assert reports[m] == pnd(judgments, m)
         assert (reports[m].mrr, reports[m].map, reports[m].p_at_1) == rank_metrics(judgments, m)
 
 

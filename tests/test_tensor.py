@@ -1,13 +1,9 @@
 """Autodiff core: primitive gradients against a central finite-difference
-oracle, the gradient-check harness itself, and a guard against ops that only
-tests call."""
+oracle and the gradient-check harness itself."""
 
-import ast
 import gc
-import inspect
 import math
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,30 +285,3 @@ def test_a_node_holds_its_tape_weakly():
         assert w.tape is None and out.tape is None
     finally:
         gc.enable()
-
-
-# --- no dead ops ----------------------------------------------------------------
-
-# Kept in `tensor` although only tests call them: the primitive chains the
-# fused ops are checked against, and the finite-difference oracle.
-TEST_REFERENCES = {"matmul", "softmax", "layer_norm", "reshape", "transpose", "grad_check"}
-
-
-def test_every_public_tensor_function_has_a_caller_in_src():
-    public = {name for name, f in vars(T).items() if inspect.isfunction(f)
-              and f.__module__ == T.__name__ and not name.startswith("_")}
-    used = set()
-    for path in Path(T.__file__).parent.glob("*.py"):
-        if path.name == "tensor.py":
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        aliases = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module in ("tensor", "duotune.tensor"):
-                used.update(a.name for a in node.names)
-            elif isinstance(node, ast.ImportFrom):
-                aliases.update(a.asname or a.name for a in node.names if a.name == "tensor")
-        used.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
-                    and isinstance(node.value, ast.Name) and node.value.id in aliases)
-    assert TEST_REFERENCES <= public
-    assert public - used - TEST_REFERENCES == set()
