@@ -35,9 +35,13 @@ def _apply_config(path, flags, error) -> None:
     must be the dest of a value-taking tune flag, and a value one of that
     flag's choices; argparse converts the rest with the flag's own type."""
     cp = configparser.ConfigParser()
-    with open(path, encoding="utf-8") as fh:
-        cp.read_file(fh)
-    for key, raw in cp.items("tune") if cp.has_section("tune") else []:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cp.read_file(fh)
+        items = cp.items("tune") if cp.has_section("tune") else []
+    except (OSError, UnicodeDecodeError, configparser.Error) as e:
+        error(f"argument --config: {path}: {type(e).__name__}: {e}")
+    for key, raw in items:
         flag = flags.get(key)
         if flag is None:
             error(f"{path}: [tune] has unknown key {key!r}")
@@ -175,6 +179,9 @@ def cmd_make_triplets(args) -> int:
     entries = _read("--negatives", args.negatives,
                     lambda path: D.read_jsonl(path, D.NegativesEntry.from_json))
     triplets = D.make_arxiv_triplets(entries, args.flavor, args.difficulty)
+    if not triplets:
+        raise argparse.ArgumentError(None, f"--negatives {args.negatives} gives no triplets "
+                                     f"at --flavor {args.flavor} --difficulty {args.difficulty}")
     D.write_triplets(triplets, args.out)
     print(f"wrote {len(triplets)} {args.flavor} triplets (difficulty {args.difficulty})")
     return 0
@@ -234,7 +241,7 @@ def cmd_replay(args) -> int:
         raise SystemExit("only tune manifests can be replayed")
     paths = doc["config"]["paths"]
     for key, digest in doc["input_digests"].items():
-        actual = lab.file_digest(paths[key])
+        actual = _read(f"--manifest input {key}", paths[key], lab.file_digest)
         if actual != digest:
             raise SystemExit(f"input {key} changed since the original run")
     try:

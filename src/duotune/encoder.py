@@ -10,10 +10,11 @@ call backward.
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
 from dataclasses import dataclass, asdict
 from itertools import groupby
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -227,6 +228,33 @@ def encode_many(params: ParamTree, token_lists: Sequence[Sequence[int]],
         encode_batch(wrap_params(T.Tape(), params),
                      pad_batch(token_lists[start:start + ENCODE_BATCH]), config, prefix=prefix).data
         for start in range(0, len(token_lists), ENCODE_BATCH)], axis=0)
+
+
+def tree_digest(tree: ParamTree) -> str:
+    """Content digest of a parameter tree: names, dtypes, shapes and bytes."""
+    h = hashlib.sha256()
+    for name in sorted(tree):
+        h.update(f"{name}:{tree[name].dtype.str}{tree[name].shape}".encode())
+        h.update(np.ascontiguousarray(tree[name]).tobytes())
+    return h.hexdigest()
+
+
+def memo_encoder(memo: Optional[dict], params: ParamTree, config: EncoderConfig,
+                 encode_fn: Callable, kind="many") -> Callable[[Sequence[Sequence[int]]], object]:
+    """token_lists -> encode_fn(params, token_lists, config), kept in `memo` under
+    (kind, the tower's `tree_digest`, taken once here, config, token sequences).
+    The encode is deterministic, so a hit has a fresh encode's bits. Kept values
+    are shared: write into none. With no memo nothing is hashed or kept."""
+    if memo is None:
+        return lambda toks: encode_fn(params, toks, config)
+    digest = tree_digest(params)
+
+    def cached(toks):
+        key = (kind, digest, config, tuple(map(tuple, toks)))
+        if key not in memo:
+            memo[key] = encode_fn(params, toks, config)
+        return memo[key]
+    return cached
 
 
 def similarity(a: np.ndarray, b: np.ndarray, measure: str) -> float:

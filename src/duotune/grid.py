@@ -7,12 +7,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .data import read_jsonl
-from .encoder import DualEncoder, Vocab, encode_many, measure_from_dots
+from .encoder import DualEncoder, Vocab, encode_many, measure_from_dots, memo_encoder
 from .metrics import count_errors, z_test
 
 LABELS = ("entailment", "neutral", "contradiction")
@@ -90,19 +90,21 @@ class PairGridReport:
 
 
 def grid_reports(model: DualEncoder, corpus: PairCorpus, measures: Sequence[str],
-                 vocab: Vocab) -> Dict[str, PairGridReport]:
+                 vocab: Vocab, memo: Optional[dict] = None) -> Dict[str, PairGridReport]:
     """Per-cell error counts under each of `measures`: the full cross product of
     entailment vs contrast pairs, sentence1 through the query encoder. One
-    `encode_many` call per (label, language, side) group serves every measure;
-    groups stay apart, as padding a row into a longer batch can change it."""
+    `encode_many` call per (label, language, side) group (or `memo` hit) serves
+    every measure; groups stay apart, as padding a row into a longer batch can change it."""
     K = len(corpus.languages)
     max_len = model.config.max_positions
+    towers = [memo_encoder(memo, params, model.config, encode_many)
+              for params in (model.query_params, model.text_params)]
     emb: Dict[Tuple[int, str, str], np.ndarray] = {}   # (side, label, language)
     for lbl in LABELS:
         for lang in corpus.languages:
-            for side, params in enumerate((model.query_params, model.text_params)):
+            for side, encode in enumerate(towers):
                 toks = [vocab.encode(pair[lang][side], max_len) for pair in corpus.pairs[lbl]]
-                emb[(side, lbl, lang)] = encode_many(params, toks, model.config).astype(np.float64)
+                emb[(side, lbl, lang)] = encode(toks).astype(np.float64)
 
     reports = {m: PairGridReport(list(corpus.languages), m, len(corpus),
                                  {c: np.zeros((K, K), dtype=np.int64) for c in CONTRAST_LABELS})

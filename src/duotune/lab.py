@@ -18,7 +18,7 @@ import numpy as np
 
 from . import freeze
 from .data import TripletSample
-from .encoder import MEASURES, DualEncoder, ParamTree, Vocab, encode_many
+from .encoder import MEASURES, DualEncoder, ParamTree, Vocab, encode_many, memo_encoder
 from .grid import GridComparison, PairCorpus, PairGridReport, grid_compare, grid_reports
 from .grid import grid_eval  # unused here: perfbench/tracer.py wraps lab.grid_eval
 from .metrics import EvalReport, QueryJudgments, full_reports, improvement, z_test
@@ -82,21 +82,21 @@ def diagnose_layers(before: ParamTree, after: ParamTree) -> LayerChangeReport:
 # --- evaluation over triplet datasets ----------------------------------------
 
 def judgments_from_triplets(model: DualEncoder, samples: Sequence[TripletSample],
-                            vocab: Vocab) -> List[QueryJudgments]:
+                            vocab: Vocab, memo: Optional[dict] = None) -> List[QueryJudgments]:
     max_len = model.config.max_positions
-    queries = encode_many(model.query_params,
-                          [vocab.encode(s.query, max_len) for s in samples], model.config)
-    texts = encode_many(model.text_params,
-                        [vocab.encode(t, max_len) for s in samples
-                         for t in s.positives + s.negatives], model.config)
+    queries = memo_encoder(memo, model.query_params, model.config, encode_many)(
+        [vocab.encode(s.query, max_len) for s in samples])
+    texts = memo_encoder(memo, model.text_params, model.config, encode_many)(
+        [vocab.encode(t, max_len) for s in samples for t in s.positives + s.negatives])
     sizes = [len(s.positives) + len(s.negatives) for s in samples]
     return [QueryJudgments(q, emb, np.arange(len(emb)) < len(s.positives))
             for s, q, emb in zip(samples, queries, np.split(texts, np.cumsum(sizes)[:-1]))]
 
 
 def evaluate_triplets(model: DualEncoder, samples: Sequence[TripletSample],
-                      vocab: Vocab, measures: Sequence[str] = MEASURES) -> Dict[str, EvalReport]:
-    return full_reports(judgments_from_triplets(model, samples, vocab), measures)
+                      vocab: Vocab, measures: Sequence[str] = MEASURES,
+                      memo: Optional[dict] = None) -> Dict[str, EvalReport]:
+    return full_reports(judgments_from_triplets(model, samples, vocab, memo), measures)
 
 
 # --- sweeps -------------------------------------------------------------------
@@ -166,6 +166,7 @@ def run_sweep(model: DualEncoder, train: Sequence[TripletSample],
               spec: SweepSpec) -> SweepReport:
     """One tune+eval per swept value against the same starting model."""
     configs = [apply_axis_value(spec.base, spec.axis, v) for v in spec.values]
+    memo: dict = {}     # every encode of this call, kept by `memo_encoder`
     for cfg in configs:   # a bad freeze spec fails before any point is tuned
         frozen = freeze.parse_freeze_spec(cfg.freeze)
         trained = [model.query_params] + ([model.text_params] if cfg.mode == "both-tuned" else [])
@@ -174,16 +175,16 @@ def run_sweep(model: DualEncoder, train: Sequence[TripletSample],
 
     def evaluate(dual: DualEncoder):
         """Every eval set's reports and, with a grid corpus, each measure's grid."""
-        reports = {name: evaluate_triplets(dual, samples, vocab, spec.measures)
+        reports = {name: evaluate_triplets(dual, samples, vocab, spec.measures, memo)
                    for name, samples in spec.eval_sets.items()}
-        grids = (grid_reports(dual, spec.grid_corpus, spec.measures, vocab)
+        grids = (grid_reports(dual, spec.grid_corpus, spec.measures, vocab, memo)
                  if spec.grid_corpus is not None else None)
         return reports, grids
 
     base_reports, base_grids = evaluate(model)
     points: List[SweepPointResult] = []
     for value, cfg in zip(spec.values, configs):
-        tuned, record = tune(model, train, valid, cfg, vocab)
+        tuned, record = tune(model, train, valid, cfg, vocab, memo=memo)
         after, grids = evaluate(tuned)
         rows: List[SweepRow] = []
         for name in spec.eval_sets:

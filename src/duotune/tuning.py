@@ -24,8 +24,8 @@ import numpy as np
 
 from . import tensor as T
 from .data import TripletSample
-from .encoder import (DualEncoder, PrefixTable, Vocab, encode_batch, encode_many,
-                      encode_prefix, frozen_stages, pad_batch, wrap_params)
+from .encoder import (DualEncoder, PrefixTable, Vocab, encode_batch, encode_many, encode_prefix,
+                      frozen_stages, memo_encoder, pad_batch, wrap_params)
 from .freeze import parse_freeze_spec, trainable_names
 from .optim import (FIXED, LossSpec, Optimizer, OptimizerSpec, SchedulerSpec,
                     scheduler_value, triplet_margin_loss)
@@ -174,11 +174,11 @@ def _epoch_index_stream(n_samples: int, needed: int, rng: T.Rng) -> np.ndarray:
 def tune(model: DualEncoder, train: Sequence[TripletSample],
          valid: Sequence[TripletSample], cfg: TuneConfig, vocab: Vocab,
          validate_fn: Optional[Callable[[DualEncoder], Tuple[float, int]]] = None,
-         ) -> Tuple[DualEncoder, RunRecord]:
+         memo: Optional[dict] = None) -> Tuple[DualEncoder, RunRecord]:
     """Tune `model` in place-free fashion; returns (best checkpoint, record).
 
     `validate_fn` defaults to the real validation pass; tests may inject a
-    stub to exercise the acceptance rule.
+    stub to exercise the acceptance rule. `memo` keeps the prefix tables.
     """
     if not valid and validate_fn is None:
         raise TuningError("validation set is empty")
@@ -202,7 +202,9 @@ def tune(model: DualEncoder, train: Sequence[TripletSample],
     for side, tree in towers.items():
         stages = frozen_stages(trainable.get(side, ()), work.config)
         if stages:
-            prefixes[side] = encode_prefix(tree, seqs[side], work.config, stages)
+            build = lambda p, s, c: encode_prefix(p, s, c, stages)
+            prefixes[side] = memo_encoder(memo, tree, work.config, build, ("prefix", stages))(
+                seqs[side])
 
     if validate_fn is None:
         validate_fn = lambda m: validate(m, valid_tok, cfg.loss, prefixes)

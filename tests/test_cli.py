@@ -10,7 +10,7 @@ import pytest
 
 from duotune import cli, grid
 from duotune.cli import _tune_config_from_args, build_parser, main
-from duotune.data import ArxivRecord, read_triplets
+from duotune.data import ArxivRecord, NegativesEntry, read_triplets
 from duotune.tuning import TuneConfig
 
 
@@ -182,6 +182,42 @@ def test_replay_rejects_changed_inputs(workspace, tmp_path):
     bad.write_text(json.dumps(manifest))
     with pytest.raises(SystemExit):
         main(["replay", "--manifest", str(bad), "--out", str(tmp_path / "x")])
+
+
+def test_replay_with_a_missing_input_is_a_usage_error(workspace, tmp_path, capsys):
+    p = corpus_paths(workspace)
+    first = tmp_path / "first"
+    assert run_tune(p, first, "--lr", "0") == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    gone = tmp_path / "gone.jsonl"
+    manifest["config"]["paths"]["train"] = str(gone)
+    bad = tmp_path / "bad-manifest.json"
+    bad.write_text(json.dumps(manifest))
+    with pytest.raises(SystemExit) as exc:
+        main(["replay", "--manifest", str(bad), "--out", str(tmp_path / "again")])
+    assert exc.value.code == 2
+    assert f"input train: {gone}: FileNotFoundError" in capsys.readouterr().err
+    assert not (tmp_path / "again").exists()
+
+
+@pytest.mark.parametrize("cmd", ["tune", "sweep"])
+@pytest.mark.parametrize("content, named", [(None, "FileNotFoundError"),
+                                            ("lr = 1e-3\n", "MissingSectionHeaderError")])
+def test_a_config_file_that_cannot_be_read_is_a_usage_error(workspace, tmp_path, capsys,
+                                                            cmd, content, named):
+    p = corpus_paths(workspace)
+    cfg = tmp_path / "tune.ini"
+    if content is not None:
+        cfg.write_text(content)
+    args = ["--model", str(p["model"]), "--train", str(p["train"]), "--valid", str(p["valid"]),
+            "--vocab", str(p["vocab"]), "--out", str(tmp_path / "run"), "--config", str(cfg)]
+    if cmd == "sweep":
+        args += ["--eval", f"heldout={p['evals']}", "--axis", "learning_rate", "--values", "0"]
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, *args])
+    assert exc.value.code == 2
+    assert f"argument --config: {cfg}: {named}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_config_file_with_flag_override(workspace, tmp_path):
@@ -611,3 +647,23 @@ def test_mine_and_make_triplets(tmp_path):
     triplets = read_triplets(out)
     assert len(triplets) == 12
     assert all(t.query.startswith("title ") for t in triplets)
+
+
+def test_make_triplets_that_yields_none_is_a_usage_error(tmp_path, capsys):
+    ids = [f"id{i}" for i in range(3)]
+    negatives = tmp_path / "negatives.jsonl"
+    negatives.write_text("".join(
+        NegativesEntry(ArxivRecord(i, "", f"abstract {i}. more words.", ["m.a"]),
+                       [j for j in ids if j != i] * 10 + [ids[0]]).to_json() + "\n"
+        for i in ids))
+    out = tmp_path / "triplets.jsonl"
+    with pytest.raises(SystemExit) as exc:      # no record has a title
+        main(["make-triplets", "--negatives", str(negatives), "--flavor", "title",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert (f"--negatives {negatives} gives no triplets at --flavor title --difficulty 21"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    assert main(["make-triplets", "--negatives", str(negatives), "--flavor", "first",
+                 "--out", str(out)]) == 0
+    assert len(read_triplets(out)) == 3

@@ -11,15 +11,16 @@ from duotune import grid, lab
 from duotune import tensor as T
 from duotune.data import TripletSample
 from duotune.encoder import (DualEncoder, EncoderConfig, Vocab, copy_tree, encode_many,
-                             init_params)
+                             init_params, trees_equal)
 from duotune.freeze import FreezeSpecError
-from duotune.grid import PairCorpus, PairGridReport
+from duotune.grid import PairCorpus, PairGridReport, grid_reports
 from duotune.lab import (LabError, SweepSpec, apply_axis_value, diagnose_layers,
                          eval_csv, evaluate_triplets, file_digest,
                          grid_matrix_csv, judgments_from_triplets, manifest_json,
                          plot_data, run_sweep, sweep_csv, SWEEP_CSV_HEADER)
 from duotune.optim import OptimizerSpec, SchedulerSpec
-from duotune.tuning import TuneConfig
+from duotune.metrics import full_reports
+from duotune.tuning import TuneConfig, tune
 from tests.test_grid import mixed_length_pairs
 from tests.test_tuning import CFG, VOCAB, topic_triplets, words
 
@@ -149,21 +150,134 @@ def test_sweep_has_one_row_per_value_dataset_measure():
         assert keys == {("topics", "cosine"), ("topics", "euclidean")}
 
 
-def test_grid_sweep_encodes_each_grid_group_once_per_model(monkeypatch):
-    corpus, vocab = mixed_length_pairs(n_languages=3, n_pairs=2)
-    model, train, valid, spec = sweep_fixture([0.0, 1e-3])
-    spec = dataclasses.replace(spec, grid_corpus=corpus)
-    calls = []
+def mixed_triplets(n, seed):
+    """Like topic_triplets, with texts of 2..8 words, so encoded batches carry padding."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        lo, other = (0, 15) if rng.integers(0, 2) == 0 else (15, 0)
+        text = lambda start: words(rng.integers(start, start + 15, size=int(rng.integers(2, 9))))
+        out.append(TripletSample(text(lo), [text(lo)], [text(other)]))
+    return out
+
+
+def mixed_sweep(axis, values, **base_kw):
+    """A twin model and mixed-length triplets and grid pairs, where lr 1e-3
+    accepts no epoch and lr 1e-2 and 3e-2 do."""
+    corpus, _ = mixed_length_pairs(n_languages=2, n_pairs=3)
+    spec = SweepSpec(axis=axis, values=values, base=base_cfg(**base_kw),
+                     eval_sets={"mixed": mixed_triplets(10, seed=3)}, grid_corpus=corpus)
+    return DualEncoder.twin_init(CFG, T.Rng(0)), mixed_triplets(24, 1), mixed_triplets(16, 2), spec
+
+
+def record_calls(monkeypatch, module, name, sink):
+    """Append each result of `module.name` to `sink`."""
+    real = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        sink.append(real(*args, **kwargs))
+        return sink[-1]
+
+    monkeypatch.setattr(module, name, recording)
+
+
+def test_grid_sweep_encodes_the_base_grid_and_each_moved_query_tower_once(monkeypatch):
+    model, train, valid, spec = mixed_sweep("learning_rate", [1e-3, 1e-2])
+    spec = dataclasses.replace(spec, grid_corpus=mixed_length_pairs(n_languages=3, n_pairs=2)[0])
+    calls, tunes = [], []
 
     def counting(params, token_lists, config):
         calls.append(len(token_lists))
         return encode_many(params, token_lists, config)
 
     monkeypatch.setattr(grid, "encode_many", counting)
-    report = run_sweep(model, train, valid, vocab, spec)
-    # (base + 2 points) x 3 labels x 3 languages x 2 sides, whatever the measures
-    assert len(calls) == (1 + 2) * 3 * 3 * 2 and set(calls) == {2}
+    record_calls(monkeypatch, lab, "tune", tunes)
+    report = run_sweep(model, train, valid, VOCAB, spec)
+    moved = [not trees_equal(tuned.query_params, model.query_params) for tuned, _ in tunes]
+    assert moved == [False, True]
+    # the base: 3 labels x 3 languages x 2 sides, whatever the measures; then
+    # the query side of each point whose query tower moved (the text tower is frozen)
+    assert len(calls) == 3 * 3 * 2 + 3 * 3 * sum(moved) and set(calls) == {2}
     assert all(set(pt.grid) == set(spec.measures) for pt in report.points)
+
+
+SWEEPS = {
+    "query-only lr": ("learning_rate", [1e-3, 1e-2, 3e-2], {}),
+    "freeze": ("freeze", ["emb", "emb, B0"], {"optimizer": OptimizerSpec(kind="adamw", lr=1e-2)}),
+    "both-tuned lr": ("learning_rate", [1e-3, 1e-2], {"mode": "both-tuned"}),
+}
+
+
+@pytest.mark.parametrize("sweep", SWEEPS)
+def test_each_sweep_point_equals_an_independent_run_without_a_memo(monkeypatch, sweep):
+    axis, values, base_kw = SWEEPS[sweep]
+    model, train, valid, spec = mixed_sweep(axis, values, **base_kw)
+    samples, measures = spec.eval_sets["mixed"], spec.measures
+    runs = [tune(model, train, valid, apply_axis_value(spec.base, axis, v), VOCAB)
+            for v in values]
+    models = [model] + [tuned for tuned, _ in runs]
+    judgments = [judgments_from_triplets(m, samples, VOCAB) for m in models]
+    grids = [grid_reports(m, spec.grid_corpus, measures, VOCAB) for m in models]
+    assert any(r.best_epoch == 0 for _, r in runs) == (sweep == "query-only lr")
+    assert any(r.best_epoch > 0 for _, r in runs)
+
+    seen = {"tune": [], "judgments_from_triplets": [], "grid_reports": []}
+    for name, sink in seen.items():
+        record_calls(monkeypatch, lab, name, sink)
+    report = run_sweep(model, train, valid, VOCAB, spec)
+
+    for (tuned, record), (got, got_record), pt in zip(runs, seen["tune"], report.points):
+        assert got_record == record == pt.record
+        assert trees_equal(got.query_params, tuned.query_params)
+        assert trees_equal(got.text_params, tuned.text_params)
+    for want, got in zip(judgments, seen["judgments_from_triplets"], strict=True):
+        for a, b in zip(want, got, strict=True):
+            for field in ("query", "candidates", "is_positive"):
+                assert np.array_equal(getattr(a, field), getattr(b, field))
+    for want, got in zip(grids, seen["grid_reports"], strict=True):
+        for m in measures:
+            for c in grid.CONTRAST_LABELS:
+                assert np.array_equal(want[m].errors[c], got[m].errors[c])
+    before = full_reports(judgments[0], measures)
+    for j, g, pt in zip(judgments[1:], grids[1:], report.points):
+        after = full_reports(j, measures)
+        assert [(r.dataset, r.measure, r.pnd_before, r.pnd_after, r.errors_before,
+                 r.errors_after) for r in pt.rows] == \
+            [("mixed", m, before[m].pnd, after[m].pnd, before[m].errors, after[m].errors)
+             for m in measures]
+        for m in measures:
+            want = grid.grid_compare(grids[0][m], g[m], spec.ztest_variant)
+            assert (pt.grid[m].improved, pt.grid[m].worsened) == (want.improved, want.worsened)
+
+
+def test_each_sweep_encodes_its_base_model(monkeypatch):
+    model, train, valid, spec = mixed_sweep("learning_rate", [1e-3])   # accepts no epoch
+    calls = []
+    monkeypatch.setattr(lab, "encode_many", lambda *a: calls.append(1) or encode_many(*a))
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        run_sweep(model, train, valid, VOCAB, spec)
+        counts.append(len(calls))
+    # the base's query and text encodes each time; the point's evaluation is all hits
+    assert counts == [2, 2]
+
+
+def test_a_tower_changed_in_place_is_encoded_again(monkeypatch):
+    model = DualEncoder.twin_init(CFG, T.Rng(3))
+    samples, memo, calls = mixed_triplets(6, seed=4), {}, []
+    monkeypatch.setattr(lab, "encode_many", lambda p, t, c: calls.append(len(t)) or
+                        encode_many(p, t, c))
+    first = judgments_from_triplets(model, samples, VOCAB, memo)
+    judgments_from_triplets(model.copy(), samples, VOCAB, memo)
+    assert calls == [6, 12]                                 # a copy is all hits
+    model.query_params["encoder.layer.0.output.dense.bias"] += 0.5
+    again = judgments_from_triplets(model, samples, VOCAB, memo)
+    assert calls == [6, 12, 6]                              # the query tower only
+    fresh = judgments_from_triplets(model, samples, VOCAB)
+    assert all(np.array_equal(a.query, b.query) and np.array_equal(a.candidates, b.candidates)
+               for a, b in zip(again, fresh))
+    assert not np.array_equal(again[0].query, first[0].query)
 
 
 def test_learning_rate_points_under_a_scheduler_differ():
@@ -176,7 +290,6 @@ def test_learning_rate_points_under_a_scheduler_differ():
 
 
 def test_single_value_sweep_equals_a_single_run():
-    from duotune.tuning import tune
     model, train, valid, spec = sweep_fixture([1e-3])
     report = run_sweep(model, train, valid, VOCAB, spec)
     cfg = apply_axis_value(spec.base, "learning_rate", 1e-3)

@@ -11,7 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from duotune import encoder, tuning
+from duotune import encoder, lab, tuning
 from duotune import tensor as T
 from duotune.encoder import (DualEncoder, EncoderConfig, encode_batch, encode_prefix,
                              frozen_stages, init_params, pad_batch, trees_equal, wrap_params)
@@ -141,6 +141,42 @@ def test_query_only_tune_runs_each_distinct_texts_stages_once_per_call(monkeypat
     # all stages once per text; steps and validation only pool
     assert set(spans) == {(0, CFG.n_blocks + 1), (CFG.n_blocks + 1, CFG.n_blocks + 1)}
     assert trees_equal(best.text_params, model.text_params)
+
+
+def test_a_query_only_sweep_runs_each_distinct_texts_stages_once(monkeypatch):
+    model = DualEncoder(CFG, init_params(CFG, T.Rng(0)), init_params(CFG, T.Rng(1)))
+    train, valid, evals = topic_triplets(20), topic_triplets(8, seed=1), topic_triplets(6, seed=2)
+    texts = [tuple(VOCAB.encode(t)) for s in train + valid + evals
+             for t in s.positives + s.negatives]
+    assert len(set(texts)) == len(texts)
+    rows, _ = count_stages(monkeypatch, model.text_params)
+    spec = lab.SweepSpec("learning_rate", [1e-4, 1e-3, 1e-2],
+                         small_config(max_epochs=2, idle_epochs_to_stop=3), {"evals": evals})
+    lab.run_sweep(model, train, valid, VOCAB, spec)
+    # the evaluation texts for the base, the prefix rows for the first point;
+    # every later point and evaluation reuses them
+    assert set(rows) == set(texts)
+    assert set(rows.values()) == {1}
+
+
+def test_a_memo_shares_prefix_tables_by_content(monkeypatch):
+    model = DualEncoder(CFG, init_params(CFG, T.Rng(0)), init_params(CFG, T.Rng(1)))
+    train, valid = topic_triplets(20), topic_triplets(8, seed=1)
+    cfg = small_config(freeze="emb, B0", max_epochs=2, idle_epochs_to_stop=3)
+    plain, plain_rec = tune(model, train, valid, cfg, VOCAB)
+    built = []
+    real = tuning.encode_prefix
+    monkeypatch.setattr(tuning, "encode_prefix",
+                        lambda p, s, c, stages: built.append(stages) or real(p, s, c, stages))
+    memo = {}
+    for m in (model, model.copy()):
+        tuned, record = tune(m, train, valid, cfg, VOCAB, memo=memo)
+        assert record == plain_rec
+        assert trees_equal(tuned.query_params, plain.query_params)
+    assert built == [2, CFG.n_blocks + 1]       # once per tower, the copy all hits
+    model.text_params["encoder.layer.1.output.dense.bias"] += 0.5    # in place
+    tune(model, train, valid, cfg, VOCAB, memo=memo)
+    assert built == [2, CFG.n_blocks + 1, CFG.n_blocks + 1]
 
 
 def test_query_only_steps_run_no_text_tower_stage(monkeypatch):
