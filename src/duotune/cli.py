@@ -50,12 +50,13 @@ def _apply_config(path, flags, error) -> None:
         flag.default = raw
 
 
-def _at_least(kind, low):
-    """An argparse type: `kind(text)`, which must be >= `low` (NaN is not)."""
+def _at_least(kind, low, high=float("inf")):
+    """An argparse type: `kind(text)`, which must lie in low..high (NaN does not)."""
     def arg(text: str):
         v = kind(text)
-        if not v >= low:
-            raise argparse.ArgumentTypeError(f"{v} is not >= {low}")
+        if not low <= v <= high:
+            raise argparse.ArgumentTypeError(f"{v} is not <= {high}" if v > high
+                                             else f"{v} is not >= {low}")
         return v
     arg.__name__ = kind.__name__    # argparse's "invalid int value: 'x'"
     return arg
@@ -71,6 +72,14 @@ def _parses(check):
             raise argparse.ArgumentTypeError(str(e)) from None
         return text
     return arg
+
+
+def _named_path(text: str):
+    """An argparse type: `name=path` as (name, path)."""
+    name, sep, path = text.partition("=")
+    if not (name and sep):
+        raise argparse.ArgumentTypeError(f"{text!r} is not name=path")
+    return name, path
 
 
 def _scheduler(args, text: str):
@@ -93,6 +102,16 @@ def _read(flag: str, path, load):
     if not records:
         raise argparse.ArgumentError(None, f"argument {flag}: {path} holds no records")
     return records
+
+
+def _read_model_and_vocab(model_path, vocab_path):
+    """--model and --vocab, refusing a vocab with more tokens than the model's vocab_size."""
+    model = _read("--model", model_path, load_dual)
+    vocab = _read("--vocab", vocab_path, Vocab.load)
+    if len(vocab) > model.config.vocab_size:
+        raise argparse.ArgumentError(None, f"--vocab {vocab_path} has {len(vocab)} tokens; "
+                                     f"--model {model_path} takes {model.config.vocab_size}")
+    return model, vocab
 
 
 def _write(path: Path, text: str) -> None:
@@ -210,8 +229,7 @@ def _tune_config_from_args(args) -> TuneConfig:
 def _run_tune(paths: dict, cfg: TuneConfig, out_dir: Path) -> None:
     """Tune the model of `paths` (keys model, train, valid, vocab) and write
     its checkpoint, run record and a manifest of `paths` and their digests."""
-    model = _read("--model", paths["model"], load_dual)
-    vocab = _read("--vocab", paths["vocab"], Vocab.load)
+    model, vocab = _read_model_and_vocab(paths["model"], paths["vocab"])
     train = _read("--train", paths["train"], D.read_triplets)
     valid = _read("--valid", paths["valid"], D.read_triplets)
     best, record = tune(model, train, valid, cfg, vocab)
@@ -219,8 +237,8 @@ def _run_tune(paths: dict, cfg: TuneConfig, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     save_dual(best, out_dir / "model.ckpt")
     _write(out_dir / "run.json",
-           json.dumps(record.to_dict(), sort_keys=True, indent=2) + "\n")
-    config = {"tune": cfg.to_dict(), "paths": {k: str(p) for k, p in paths.items()}}
+           json.dumps(dataclasses.asdict(record), sort_keys=True, indent=2) + "\n")
+    config = {"tune": dataclasses.asdict(cfg), "paths": {k: str(p) for k, p in paths.items()}}
     inputs = {k: lab.file_digest(p) for k, p in paths.items()}
     _write(out_dir / "manifest.json",
            lab.manifest_json("tune", config, cfg.seed, inputs, ["model.ckpt", "run.json"]))
@@ -235,17 +253,18 @@ def cmd_tune(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    doc = _read("--manifest", args.manifest,
-                lambda path: json.loads(Path(path).read_text(encoding="utf-8")))
-    if doc.get("command") != "tune":
+    def load(path):
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        return doc["command"], doc["config"]["paths"], doc["config"]["tune"], doc["input_digests"]
+    command, paths, tune_dict, digests = _read("--manifest", args.manifest, load)
+    if command != "tune":
         raise SystemExit("only tune manifests can be replayed")
-    paths = doc["config"]["paths"]
-    for key, digest in doc["input_digests"].items():
+    for key, digest in digests.items():
         actual = _read(f"--manifest input {key}", paths[key], lab.file_digest)
         if actual != digest:
             raise SystemExit(f"input {key} changed since the original run")
     try:
-        cfg = TuneConfig.from_dict(doc["config"]["tune"])
+        cfg = TuneConfig.from_dict(tune_dict)
     except (TuningError, ValueError) as e:
         raise SystemExit(f"{args.manifest}: {e}") from None
     _run_tune(paths, cfg, Path(args.out))
@@ -254,8 +273,7 @@ def cmd_replay(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = _read("--model", args.model, load_dual)
-    vocab = _read("--vocab", args.vocab, Vocab.load)
+    model, vocab = _read_model_and_vocab(args.model, args.vocab)
     samples = _read("--data", args.data, D.read_triplets)
     reports = lab.evaluate_triplets(model, samples, vocab, _measures(args.measure))
     csv = lab.eval_csv(reports)
@@ -266,8 +284,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_grid_eval(args) -> int:
-    model = _read("--model", args.model, load_dual)
-    vocab = _read("--vocab", args.vocab, Vocab.load)
+    model, vocab = _read_model_and_vocab(args.model, args.vocab)
     corpus = _read("--pairs", args.pairs, PairCorpus.load)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -290,9 +307,7 @@ def _sweep_values(args, base: TuneConfig) -> list:
     check.add_argument(flag.option_strings[0], dest="v", type=flag.type, choices=flag.choices)
     values = [check.parse_args([f"{flag.option_strings[0]}={v.strip()}"]).v
               for v in args.values.split(";" if args.axis == "freeze" else ",")]
-    if args.axis == "optimizer":
-        values = [dataclasses.replace(base.optimizer, kind=v) for v in values]
-    elif args.axis == "scheduler":
+    if args.axis == "scheduler":
         values = [_scheduler(args, v) for v in values]
     for v in values:
         try:
@@ -312,16 +327,10 @@ def cmd_sweep(args) -> int:
             f"--axis {args.axis}: a sweep point cannot carry its own scaled lr")
     base = _tune_config_from_args(args)
     values = _sweep_values(args, base)
-    model = _read("--model", args.model, load_dual)
-    vocab = _read("--vocab", args.vocab, Vocab.load)
+    model, vocab = _read_model_and_vocab(args.model, args.vocab)
     train = _read("--train", args.train, D.read_triplets)
     valid = _read("--valid", args.valid, D.read_triplets)
-    eval_sets = {}
-    for item in args.eval or []:
-        name, path = item.split("=", 1)
-        eval_sets[name] = _read("--eval", path, D.read_triplets)
-    if not eval_sets:
-        raise SystemExit("sweep needs at least one --eval name=path")
+    eval_sets = {name: _read("--eval", path, D.read_triplets) for name, path in args.eval}
     grid_corpus = _read("--pairs", args.pairs, PairCorpus.load) if args.pairs else None
     spec = lab.SweepSpec(axis=args.axis, values=values, base=base,
                          eval_sets=eval_sets, grid_corpus=grid_corpus,
@@ -348,24 +357,23 @@ def cmd_diagnose(args) -> int:
     csv = lab.csv_text(
         ["name", "w_before", "w_after", "changed", "max_abs_after", "relative_shift"],
         ([l.name, f"{l.w_before:.12g}", f"{l.w_after:.12g}", int(l.changed),
-          "" if l.max_abs_after is None else f"{l.max_abs_after:.12g}",
+          f"{l.w_after:.12g}" if l.changed else "",
           "" if l.relative_shift is None else f"{l.relative_shift:.12g}"]
          for l in report.layers))
     if args.out:
         _write(Path(args.out), csv)
     print("top by max |weight| after tuning (changed layers):")
-    for name in report.top(args.top, "max_abs"):
+    for name in report.by_max_abs[:args.top]:
         print(f"  {name}")
     print("top by relative shift:")
-    for name in report.top(args.top, "relative_shift"):
+    for name in report.by_relative_shift[:args.top]:
         print(f"  {name}")
     return 0
 
 
 def cmd_report(args) -> int:
-    run_dir = Path(args.run)
-    with open(run_dir / "run.json", encoding="utf-8") as fh:
-        record = json.load(fh)
+    record = _read("--run", Path(args.run) / "run.json",
+                   lambda path: json.loads(path.read_text(encoding="utf-8")))
     accepted = [e for e in record["epochs"] if e["accepted"]]
     print(f"epochs: {len(record['epochs'])}, accepted: {len(accepted)}, "
           f"best epoch: {record['best_epoch']}, steps: {record['total_steps']}")
@@ -457,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("make-triplets", help="triplets from mined negatives")
     p.add_argument("--negatives", required=True)
     p.add_argument("--flavor", choices=["title", "first"], required=True)
-    p.add_argument("--difficulty", type=int, default=21)
+    p.add_argument("--difficulty", type=_at_least(int, 1, high=21), default=21)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_make_triplets)
 
@@ -502,7 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", required=True,
                    help="comma-separated; ';'-separated for --axis freeze; write "
                         "--values=-1e-3,0 when the first value starts with '-'")
-    p.add_argument("--eval", action="append", help="name=path, repeatable")
+    p.add_argument("--eval", action="append", type=_named_path, required=True,
+                   help="name=path, repeatable")
     p.add_argument("--pairs", help="optional grid corpus")
     p.add_argument("--ztest-variant", choices=["paper", "textbook"],
                    default="paper", dest="ztest_variant")
@@ -513,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagnose", help="layer-change diagnostics")
     p.add_argument("--before", required=True)
     p.add_argument("--after", required=True)
-    p.add_argument("--top", type=int, default=5)
+    p.add_argument("--top", type=_at_least(int, 1), default=5)
     p.add_argument("--out")
     p.set_defaults(func=cmd_diagnose)
 

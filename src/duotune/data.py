@@ -157,6 +157,8 @@ class NegativesEntry:
     def from_json(cls, line: str) -> "NegativesEntry":
         d = json.loads(line)
         r = d["record"]
+        if len(d["neighbors"]) != 21:
+            raise DataError(f"record {r['id']}: {len(d['neighbors'])} neighbors, not 21")
         return cls(ArxivRecord(r["id"], r.get("title", ""), r["abstract"],
                                list(r["categories"])), list(d["neighbors"]))
 

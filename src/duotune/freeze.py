@@ -44,9 +44,6 @@ class FreezeSpec:
     def canonical(self) -> str:
         return ", ".join(t.text for t in self.tokens) or "-"
 
-    def __str__(self):
-        return self.canonical()
-
 
 _NAMED = {
     "-": (),

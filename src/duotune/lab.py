@@ -27,7 +27,7 @@ from .tuning import RunRecord, TuneConfig, tune
 # sweep axis -> the TuneConfig field it sets: a field, or a field of a spec
 SWEEP_AXES = {"learning_rate": "optimizer.lr", "batch_size": "batch_size",
               "margin": "loss.margin", "freeze": "freeze", "scheduler": "scheduler",
-              "optimizer": "optimizer", "weight_decay": "optimizer.weight_decay",
+              "optimizer": "optimizer.kind", "weight_decay": "optimizer.weight_decay",
               "stopping": "idle_epochs_to_stop"}
 
 
@@ -43,7 +43,6 @@ class LayerChange:
     w_before: float              # max |weight| before tuning
     w_after: float               # max |weight| after tuning
     changed: bool
-    max_abs_after: Optional[float]   # w_after if changed, else None
     relative_shift: Optional[float]  # (w_after - w_before) / (w_after + w_before)
 
 
@@ -52,10 +51,6 @@ class LayerChangeReport:
     layers: List[LayerChange]
     by_max_abs: List[str]            # changed layers, descending max |weight| after
     by_relative_shift: List[str]     # all layers, descending relative shift
-
-    def top(self, k: int, metric: str = "max_abs") -> List[str]:
-        ranked = self.by_max_abs if metric == "max_abs" else self.by_relative_shift
-        return ranked[:k]
 
 
 def diagnose_layers(before: ParamTree, after: ParamTree) -> LayerChangeReport:
@@ -70,10 +65,8 @@ def diagnose_layers(before: ParamTree, after: ParamTree) -> LayerChangeReport:
         changed = not np.array_equal(before[name], after[name])
         denom = w_t + w_o
         shift = (w_t - w_o) / denom if denom > 0 else None
-        layers.append(LayerChange(name, w_o, w_t, changed,
-                                  w_t if changed else None, shift))
-    by_a = sorted((l for l in layers if l.changed),
-                  key=lambda l: (-l.max_abs_after, l.name))
+        layers.append(LayerChange(name, w_o, w_t, changed, shift))
+    by_a = sorted((l for l in layers if l.changed), key=lambda l: (-l.w_after, l.name))
     by_b = sorted((l for l in layers if l.relative_shift is not None),
                   key=lambda l: (-l.relative_shift, l.name))
     return LayerChangeReport(layers, [l.name for l in by_a], [l.name for l in by_b])

@@ -45,14 +45,13 @@ class EvalReport:
     errors: int                     # total (positive, negative) error pairs
     total: int                      # total (positive, negative) pairs
     pnd: float                      # per-query PND averaged over queries
-    mrr: Optional[float] = None
-    map: Optional[float] = None
-    p_at_1: Optional[float] = None
+    mrr: float
+    map: float
+    p_at_1: float
 
     def csv_row(self) -> List[str]:
-        opt = lambda v: "" if v is None else f"{v:.10g}"
         return [self.measure, str(self.errors), str(self.total),
-                f"{self.pnd:.10g}", opt(self.mrr), opt(self.map), opt(self.p_at_1)]
+                *(f"{v:.10g}" for v in (self.pnd, self.mrr, self.map, self.p_at_1))]
 
 
 def count_errors(pos_sims: np.ndarray, neg_sims: np.ndarray) -> int:
@@ -116,16 +115,12 @@ def improvement(m_before: float, m_after: float, sign: int) -> float:
 
 @dataclass
 class ZTestResult:
-    n0: int
-    n1: int
-    total: int
     p0: float
     p1: float
     pooled: float
     z: Optional[float]
     z_critical: float
     significant: bool
-    variant: str
 
 
 def z_test(n0: int, n1: int, total: int, variant: str = "paper") -> ZTestResult:
@@ -146,11 +141,10 @@ def z_test(n0: int, n1: int, total: int, variant: str = "paper") -> ZTestResult:
     p1 = n1 / total
     pooled = 0.5 * (n0 + n1) / total
     if pooled <= 0.0 or pooled >= 1.0:
-        return ZTestResult(n0, n1, total, p0, p1, pooled, None, Z_CRITICAL, False, variant)
+        return ZTestResult(p0, p1, pooled, None, Z_CRITICAL, False)
     if variant == "paper":
         denom = math.sqrt(0.5 * pooled * (1.0 - pooled) * total)
     else:
         denom = math.sqrt(2.0 * pooled * (1.0 - pooled) / total)
     z = (p1 - p0) / denom
-    return ZTestResult(n0, n1, total, p0, p1, pooled, z, Z_CRITICAL,
-                       abs(z) > Z_CRITICAL, variant)
+    return ZTestResult(p0, p1, pooled, z, Z_CRITICAL, abs(z) > Z_CRITICAL)

@@ -62,10 +62,6 @@ class OptimizerSpec:
         if self.kind not in ("adamw", "adamax", "adadelta", "sgd"):
             raise OptimError(f"unknown optimizer kind {self.kind!r}")
 
-    def __str__(self) -> str:
-        """The --optimizer spelling; a sweep point's label."""
-        return self.kind
-
 
 def _decay_into(buf: np.ndarray, decay: float, term: np.ndarray) -> None:
     """buf = decay * buf + (1 - decay) * term, updating buf in place."""

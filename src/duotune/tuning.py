@@ -17,7 +17,7 @@ step only pools its rows.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -76,9 +76,6 @@ class TuneConfig:
         scheduler_value(self.scheduler, max(0, self.max_epochs * self.batches_per_epoch - 1))
         return self
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "TuneConfig":
         d = dict(d)
@@ -115,9 +112,6 @@ class RunRecord:
     best_epoch: int = 0                 # 0 = initial model
     total_steps: int = 0
     stop_reason: str = ""
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _tokenize_triplets(samples: Sequence[TripletSample], vocab: Vocab,

@@ -2,15 +2,18 @@
 replay reproducibility."""
 
 import csv
+import dataclasses
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from duotune import cli, grid
+from duotune import cli, grid, lab
 from duotune.cli import _tune_config_from_args, build_parser, main
 from duotune.data import ArxivRecord, NegativesEntry, read_triplets
+from duotune.encoder import load_dual, save_dual
 from duotune.tuning import TuneConfig
 
 
@@ -667,3 +670,111 @@ def test_make_triplets_that_yields_none_is_a_usage_error(tmp_path, capsys):
     assert main(["make-triplets", "--negatives", str(negatives), "--flavor", "first",
                  "--out", str(out)]) == 0
     assert len(read_triplets(out)) == 3
+
+
+def negatives_file(path, neighbors=21):
+    """Mined negatives for 3 records, each listing `neighbors` neighbours."""
+    ids = [f"id{i}" for i in range(3)]
+    path.write_text("".join(
+        NegativesEntry(ArxivRecord(i, f"title {i}", f"abstract {i}. more words.", ["m.a"]),
+                       ([j for j in ids if j != i] * 11)[:neighbors]).to_json() + "\n"
+        for i in ids))
+    return path
+
+
+def refused(case, workspace, tmp_path):
+    """The argv of one refused command, and the path it must not write."""
+    p = {k: str(v) for k, v in corpus_paths(workspace).items()}
+    out = tmp_path / "out"
+    # one token ahead of the corpus's: every id moves up by one, past the model's vocab_size
+    big_vocab = tmp_path / "big_vocab.txt"
+    big_vocab.write_text("extra\n" + Path(p["vocab"]).read_text())
+    model = ["--model", p["model"]]
+    tune_args = ["--train", p["train"], "--valid", p["valid"], "--batch-size", "4",
+                 "--epoch-size", "2", "--idle-epochs", "2", "--max-epochs", "2"]
+    sweep_args = ["sweep", *model, "--vocab", p["vocab"], *tune_args, "--axis", "learning_rate",
+                  "--values", "0", "--out", str(out)]
+    negatives = ["make-triplets", "--flavor", "first", "--out", str(out), "--negatives"]
+    manifest = tmp_path / "manifest.json"
+    replay = ["replay", "--manifest", str(manifest), "--out", str(out)]
+    if case == "report without run.json":
+        return ["report", "--run", str(tmp_path)], tmp_path / "run.json"
+    if case.startswith("difficulty"):
+        return [*negatives, str(negatives_file(tmp_path / "neg.jsonl")),
+                "--difficulty", case.split()[1]], out
+    if case == "short neighbour list":
+        return [*negatives, str(negatives_file(tmp_path / "neg.jsonl", neighbors=20))], out
+    if case.startswith("manifest"):
+        doc = {"command": "tune", "config": {"tune": {}, "paths": {}}}
+        manifest.write_text(json.dumps({"command": "tune"} if case == "manifest command only"
+                                       else doc))
+        return replay, out
+    if case == "replay vocab":
+        paths = {"model": p["model"], "train": p["train"], "valid": p["valid"],
+                 "vocab": str(big_vocab)}
+        cfg = TuneConfig(batch_size=4, epoch_size=2, idle_epochs_to_stop=2, max_epochs=2)
+        manifest.write_text(lab.manifest_json(
+            "tune", {"tune": dataclasses.asdict(cfg), "paths": paths}, cfg.seed,
+            {k: lab.file_digest(v) for k, v in paths.items()}, ["model.ckpt", "run.json"]))
+        return replay, out
+    if case.endswith(" vocab"):
+        data = {"eval": ["--data", p["evals"]], "grid-eval": ["--pairs", p["pairs"]],
+                "tune": tune_args, "sweep": [*tune_args, "--eval", f"h={p['evals']}",
+                                             "--axis", "learning_rate", "--values", "0"]}
+        cmd = case.split()[0]
+        return [cmd, *model, "--vocab", str(big_vocab), *data[cmd], "--out", str(out)], out
+    if case == "sweep --eval without =":
+        return [*sweep_args, "--eval", p["evals"]], out
+    if case == "sweep without --eval":
+        return sweep_args, out
+    if case.startswith("diagnose"):
+        return ["diagnose", "--before", p["model"], "--after", p["model"], "--out", str(out),
+                "--top", case.split()[-1]], out
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize("case, named", [
+    ("report without run.json", ["argument --run", "run.json"]),
+    ("difficulty 0", ["argument --difficulty: 0 is not >= 1"]),
+    ("difficulty 22", ["argument --difficulty: 22 is not <= 21"]),
+    ("short neighbour list", ["argument --negatives", "record id0: 20 neighbors, not 21"]),
+    ("manifest command only", ["argument --manifest", "KeyError: 'config'"]),
+    ("manifest without input_digests", ["argument --manifest", "KeyError: 'input_digests'"]),
+    ("eval vocab", ["--vocab", "has 51 tokens; --model", "takes 50"]),
+    ("grid-eval vocab", ["--vocab", "has 51 tokens; --model", "takes 50"]),
+    ("tune vocab", ["--vocab", "has 51 tokens; --model", "takes 50"]),
+    ("sweep vocab", ["--vocab", "has 51 tokens; --model", "takes 50"]),
+    ("replay vocab", ["--vocab", "has 51 tokens; --model", "takes 50"]),
+    ("sweep --eval without =", ["argument --eval", "is not name=path"]),
+    ("sweep without --eval", ["the following arguments are required: --eval"]),
+    ("diagnose --top -1", ["argument --top: -1 is not >= 1"]),
+    ("diagnose --top 0", ["argument --top: 0 is not >= 1"]),
+])
+def test_refused_flag_values_are_usage_errors(workspace, tmp_path, capsys, case, named):
+    argv, out = refused(case, workspace, tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert all(n in err for n in named), err
+    assert not out.exists()
+
+
+def test_diagnose_prints_the_top_layers_and_writes_max_abs_after(workspace, tmp_path, capsys):
+    p = corpus_paths(workspace)
+    model = load_dual(p["model"])
+    moved = ["encoder.layer.1.output.dense.weight", "encoder.layer.0.output.dense.weight"]
+    for name, shift in zip(moved, (4.0, 1.0)):
+        model.query_params[name] = model.query_params[name] + shift
+    after, out = tmp_path / "after.ckpt", tmp_path / "diag.csv"
+    save_dual(model, after)
+    assert main(["diagnose", "--before", str(p["model"]), "--after", str(after),
+                 "--top", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "top by max |weight| after tuning (changed layers):", f"  {moved[0]}",
+        "top by relative shift:", f"  {moved[0]}"]
+    header, *rows = read_csv(out)
+    assert header[2:5] == ["w_after", "changed", "max_abs_after"]
+    assert [r[0] for r in rows if r[3] == "1"] == sorted(moved)
+    # max_abs_after is w_after on a changed layer and empty on the others
+    assert all(r[4] == (r[2] if r[3] == "1" else "") for r in rows)

@@ -73,7 +73,7 @@ def test_text_longer_than_max_positions_is_truncated_to_fit():
                      optimizer=OptimizerSpec(kind="adamw", lr=1e-3))
     tuned, record = tune(model, train, valid, cfg, VOCAB)
     again, again_record = tune(model, truncated(train), truncated(valid), cfg, VOCAB)
-    assert record.to_dict() == again_record.to_dict()
+    assert record == again_record
 
     reports = evaluate_triplets(tuned, valid, VOCAB)
     reference = evaluate_triplets(tuned, truncated(valid), VOCAB)

@@ -18,7 +18,7 @@ from duotune.lab import (LabError, SweepSpec, apply_axis_value, diagnose_layers,
                          eval_csv, evaluate_triplets, file_digest,
                          grid_matrix_csv, judgments_from_triplets, manifest_json,
                          plot_data, run_sweep, sweep_csv, SWEEP_CSV_HEADER)
-from duotune.optim import OptimizerSpec, SchedulerSpec
+from duotune.optim import OptimError, OptimizerSpec, SchedulerSpec
 from duotune.metrics import full_reports
 from duotune.tuning import TuneConfig, tune
 from tests.test_grid import mixed_length_pairs
@@ -31,7 +31,6 @@ def test_diagnose_no_changes():
     tree = init_params(CFG, T.Rng(0))
     report = diagnose_layers(tree, copy_tree(tree))
     assert all(not l.changed for l in report.layers)
-    assert all(l.max_abs_after is None for l in report.layers)
     assert report.by_max_abs == []
 
 
@@ -43,7 +42,6 @@ def test_diagnose_single_perturbed_layer_tops_both_rankings():
     report = diagnose_layers(before, after)
     assert report.by_max_abs == [name]
     assert report.by_relative_shift[0] == name
-    assert report.top(1, "relative_shift") == [name]
 
 
 def test_diagnose_relative_shift_is_antisymmetric():
@@ -72,7 +70,7 @@ def test_diagnose_metric_values():
     after = {"w": np.array([0.5, -3.0])}
     layer = diagnose_layers(before, after).layers[0]
     assert layer.w_before == 2.0 and layer.w_after == 3.0
-    assert layer.changed and layer.max_abs_after == 3.0
+    assert layer.changed
     assert layer.relative_shift == pytest.approx((3.0 - 2.0) / (3.0 + 2.0))
 
 
@@ -94,13 +92,14 @@ def test_apply_axis_value_covers_every_axis():
     assert apply_axis_value(cfg, "freeze", "-").freeze == "-"
     sched = SchedulerSpec("E", lr0=5e-8)     # lr0 follows the optimizer's lr
     assert apply_axis_value(cfg, "scheduler", sched).scheduler == SchedulerSpec("E", lr0=1e-3)
-    opt = OptimizerSpec(kind="sgd", lr=1e-3)
-    assert apply_axis_value(cfg, "optimizer", opt).optimizer == opt
+    assert apply_axis_value(cfg, "optimizer", "sgd").optimizer == OptimizerSpec("sgd", lr=1e-3)
     assert apply_axis_value(cfg, "weight_decay", 0.1).optimizer.weight_decay == 0.1
     assert apply_axis_value(cfg, "stopping", 5).idle_epochs_to_stop == 5
-    for axis, value in (("unknown", 1), ("scheduler", "E:0.9"), ("optimizer", "sgd")):
+    for axis, value in (("unknown", 1), ("scheduler", "E:0.9")):
         with pytest.raises(LabError):
             apply_axis_value(cfg, axis, value)
+    with pytest.raises(OptimError):
+        apply_axis_value(cfg, "optimizer", "adamww")
 
 
 def test_sweep_spec_validation():
@@ -286,7 +285,7 @@ def test_learning_rate_points_under_a_scheduler_differ():
     cfgs = [apply_axis_value(spec.base, "learning_rate", v) for v in spec.values]
     assert [c.scheduler.lr0 for c in cfgs] == [1e-4, 1e-1]
     low, high = (pt.record for pt in run_sweep(model, train, valid, VOCAB, spec).points)
-    assert low.to_dict() != high.to_dict()
+    assert low != high
 
 
 def test_single_value_sweep_equals_a_single_run():
@@ -297,7 +296,7 @@ def test_single_value_sweep_equals_a_single_run():
     after = evaluate_triplets(tuned, spec.eval_sets["topics"], VOCAB)
     row = next(r for r in report.points[0].rows if r.measure == "cosine")
     assert row.pnd_after == pytest.approx(after["cosine"].pnd, abs=1e-12)
-    assert report.points[0].record.to_dict() == record.to_dict()
+    assert report.points[0].record == record
 
 
 # --- emission ------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tuning loop: acceptance rule, stopping, freeze contract, determinism."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -82,7 +84,7 @@ def test_config_validation():
 
 def test_config_dict_roundtrip():
     cfg = small_config(scheduler=SchedulerSpec("E", gamma=0.9))
-    again = TuneConfig.from_dict(cfg.to_dict())
+    again = TuneConfig.from_dict(asdict(cfg))
     assert again == cfg
 
 
@@ -184,7 +186,7 @@ def test_same_seed_gives_bit_identical_runs():
         best, record = tune(model, train, valid, cfg, VOCAB)
         runs.append((best, record))
     assert trees_equal(runs[0][0].query_params, runs[1][0].query_params)
-    assert runs[0][1].to_dict() == runs[1][1].to_dict()
+    assert runs[0][1] == runs[1][1]
 
 
 def test_acceptance_requires_both_loss_and_errors_to_drop():
