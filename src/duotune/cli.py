@@ -353,7 +353,11 @@ def cmd_sweep(args) -> int:
 def cmd_diagnose(args) -> int:
     before = _read("--before", args.before, load_dual)
     after = _read("--after", args.after, load_dual)
-    report = lab.diagnose_layers(before.query_params, after.query_params)
+    try:
+        report = lab.diagnose_layers(before.query_params, after.query_params)
+    except lab.LabError as e:
+        raise argparse.ArgumentError(
+            None, f"--before {args.before} and --after {args.after}: {e}") from None
     csv = lab.csv_text(
         ["name", "w_before", "w_after", "changed", "max_abs_after", "relative_shift"],
         ([l.name, f"{l.w_before:.12g}", f"{l.w_after:.12g}", int(l.changed),
@@ -430,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_at_least(int, 0), default=0)
     p.add_argument("--languages", type=_at_least(int, 1), default=4)
     p.add_argument("--vocab-size", type=_at_least(int, 1), default=96, dest="vocab_size")
-    p.add_argument("--topics", type=_at_least(int, 1), default=8)
+    p.add_argument("--topics", type=_at_least(int, 2), default=8)
     p.add_argument("--sentence-len", type=_at_least(int, 1), default=8, dest="sentence_len")
     p.add_argument("--pretrain", type=_at_least(int, 0), default=400)
     p.add_argument("--tune", type=_at_least(int, 0), default=400)

@@ -41,6 +41,9 @@ class TripletSample:
     @classmethod
     def from_json(cls, line: str) -> "TripletSample":
         d = json.loads(line)
+        if not (d["pos"] and d["neg"]):
+            raise DataError(f"query {d['query']!r}: {len(d['pos'])} positives, "
+                            f"{len(d['neg'])} negatives; a triplet needs one of each")
         return cls(d["query"], list(d["pos"]), list(d["neg"]))
 
 
@@ -307,6 +310,8 @@ class SynthCorpusSpec:
     def __post_init__(self):
         if self.n_languages < 1:
             raise DataError("need at least one language")
+        if self.n_topics < 2:
+            raise DataError("need at least two topics: a negative takes another topic")
         if self.vocab_size < 2 * self.n_topics:
             raise DataError("vocab too small for the requested topic count")
 
@@ -322,9 +327,8 @@ class SynthCorpus:
     pair_records: List[dict]                 # line records for the grid corpus
 
 
-def _render(token_indices: Sequence[int], lang_map: np.ndarray,
-            vocab_tokens: Sequence[str]) -> str:
-    return " ".join(vocab_tokens[lang_map[i]] for i in token_indices)
+def _render(token_indices: Sequence[int], lang_tokens: Sequence[str]) -> str:
+    return " ".join(lang_tokens[i] for i in token_indices)
 
 
 def gen_synth_corpus(spec: SynthCorpusSpec) -> SynthCorpus:
@@ -337,15 +341,17 @@ def gen_synth_corpus(spec: SynthCorpusSpec) -> SynthCorpus:
     for k in range(1, spec.n_languages):
         maps.append(rng.spawn(10, k).permutation(spec.vocab_size))
 
+    # each language's surface form of every token index
+    lang_tokens = [[vocab_tokens[j] for j in m] for m in maps]
     slice_size = spec.vocab_size // spec.n_topics
-    topic_slices = [np.arange(t * slice_size, (t + 1) * slice_size)
-                    for t in range(spec.n_topics)]
+    # tested in float32: a float64 test would flip rare draws and so the corpus
+    purity = np.float32(spec.topic_purity)
 
     def sentence(topic: int, r: Rng) -> List[int]:
         idx = []
         for _ in range(spec.sentence_len):
-            if r.uniform(()) < spec.topic_purity:
-                idx.append(int(topic_slices[topic][int(r.integers(0, slice_size))]))
+            if np.float32(r.random()) < purity:
+                idx.append(topic * slice_size + int(r.integers(0, slice_size)))
             else:
                 idx.append(int(r.integers(0, spec.vocab_size)))
         return idx
@@ -355,10 +361,9 @@ def gen_synth_corpus(spec: SynthCorpusSpec) -> SynthCorpus:
         t_neg = int(r.integers(0, spec.n_topics - 1))
         if t_neg >= t:
             t_neg += 1
-        m = maps[lang]
-        return TripletSample(_render(sentence(t, r), m, vocab_tokens),
-                             [_render(sentence(t, r), m, vocab_tokens)],
-                             [_render(sentence(t_neg, r), m, vocab_tokens)])
+        m = lang_tokens[lang]
+        return TripletSample(_render(sentence(t, r), m), [_render(sentence(t, r), m)],
+                             [_render(sentence(t_neg, r), m)])
 
     r_pre = rng.spawn(20)
     pretrain = [triplet(k % spec.n_languages, r_pre) for k in range(
@@ -400,8 +405,8 @@ def gen_synth_corpus(spec: SynthCorpusSpec) -> SynthCorpus:
                     "pair_id": f"p{pid:05d}",
                     "label": label,
                     "language": f"lang{k}",
-                    "sentence1": _render(s1, maps[k], vocab_tokens),
-                    "sentence2": _render(s2, maps[k], vocab_tokens),
+                    "sentence1": _render(s1, lang_tokens[k]),
+                    "sentence2": _render(s2, lang_tokens[k]),
                 })
             pid += 1
 

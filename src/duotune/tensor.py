@@ -59,8 +59,9 @@ class Rng:
             bad = np.abs(out) > 2.0 * sigma
         return out.astype(dtype)
 
-    def uniform(self, shape, low=0.0, high=1.0, dtype=np.float32):
-        return self._gen.uniform(low, high, size=shape).astype(dtype)
+    def random(self) -> float:
+        """One float64 in [0, 1): the value and stream step of `uniform(0, 1)`."""
+        return self._gen.random()
 
     def integers(self, low, high=None, size=None):
         return self._gen.integers(low, high, size=size)

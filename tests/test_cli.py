@@ -727,9 +727,25 @@ def refused(case, workspace, tmp_path):
         return [*sweep_args, "--eval", p["evals"]], out
     if case == "sweep without --eval":
         return sweep_args, out
-    if case.startswith("diagnose"):
+    if case.startswith("diagnose --top"):
         return ["diagnose", "--before", p["model"], "--after", p["model"], "--out", str(out),
                 "--top", case.split()[-1]], out
+    if case == "gen-synth --topics 1":
+        return ["gen-synth", "--out", str(out), "--topics", "1"], out
+    if case.startswith("one-sided triplet"):
+        bad = tmp_path / "one_sided.jsonl"
+        pos, neg = (["w011"], []) if case.endswith("no negative") else ([], ["w012"])
+        bad.write_text(json.dumps({"query": "w010", "pos": pos, "neg": neg}) + "\n")
+        argv = {"--data": ["eval", *model, "--vocab", p["vocab"], "--data", str(bad)],
+                "--train": ["tune", *model, "--vocab", p["vocab"],
+                            *(str(bad) if a == p["train"] else a for a in tune_args)],
+                "--input": ["split", "--input", str(bad)]}[case.split()[2]]
+        return [*argv, "--out", str(out)], out
+    if case == "diagnose across depths":
+        deep = tmp_path / "deep.ckpt"
+        assert main(["init-model", "--vocab", p["vocab"], "--out", str(deep), "--seed", "1",
+                     "--hidden", "16", "--blocks", "3", "--heads", "2"]) == 0
+        return ["diagnose", "--before", p["model"], "--after", str(deep), "--out", str(out)], out
     raise AssertionError(case)
 
 
@@ -749,6 +765,15 @@ def refused(case, workspace, tmp_path):
     ("sweep without --eval", ["the following arguments are required: --eval"]),
     ("diagnose --top -1", ["argument --top: -1 is not >= 1"]),
     ("diagnose --top 0", ["argument --top: 0 is not >= 1"]),
+    ("gen-synth --topics 1", ["argument --topics: 1 is not >= 2"]),
+    ("one-sided triplet --data no negative", ["argument --data", "one_sided.jsonl",
+                                              "1 positives, 0 negatives"]),
+    ("one-sided triplet --train no positive", ["argument --train", "one_sided.jsonl",
+                                               "0 positives, 1 negatives"]),
+    ("one-sided triplet --input no negative", ["argument --input", "one_sided.jsonl",
+                                               "1 positives, 0 negatives"]),
+    ("diagnose across depths", ["--before", "--after", "deep.ckpt",
+                                "parameter name sets differ"]),
 ])
 def test_refused_flag_values_are_usage_errors(workspace, tmp_path, capsys, case, named):
     argv, out = refused(case, workspace, tmp_path)
