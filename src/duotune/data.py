@@ -41,10 +41,23 @@ class TripletSample:
     @classmethod
     def from_json(cls, line: str) -> "TripletSample":
         d = json.loads(line)
-        if not (d["pos"] and d["neg"]):
-            raise DataError(f"query {d['query']!r}: {len(d['pos'])} positives, "
-                            f"{len(d['neg'])} negatives; a triplet needs one of each")
-        return cls(d["query"], list(d["pos"]), list(d["neg"]))
+        where = f"query {d['query']!r}"
+        if not isinstance(d["query"], str):
+            raise DataError(f"{where}: query is not a string")
+        pos, neg = _strings(d, "pos", where), _strings(d, "neg", where)
+        if not (pos and neg):
+            raise DataError(f"{where}: {len(pos)} positives, {len(neg)} negatives; "
+                            "a triplet needs one of each")
+        return cls(d["query"], pos, neg)
+
+
+def _strings(d: dict, field: str, where: str) -> List[str]:
+    """d[field] when it is a list of strings, else a DataError naming `where`
+    and the field (`list()` would split a string into its characters)."""
+    value = d[field]
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise DataError(f"{where}: {field} {value!r} is not a list of strings")
+    return value
 
 
 def write_triplets(samples: Iterable[TripletSample], path) -> None:
@@ -143,8 +156,12 @@ class ArxivRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "ArxivRecord":
-        d = json.loads(line)
-        return cls(d["id"], d.get("title", ""), d["abstract"], list(d["categories"]))
+        return cls.from_dict(json.loads(line))
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "ArxivRecord":
+        return cls(d["id"], d.get("title", ""), d["abstract"],
+                   _strings(d, "categories", f"record {d['id']}"))
 
 
 @dataclass
@@ -159,11 +176,11 @@ class NegativesEntry:
     @classmethod
     def from_json(cls, line: str) -> "NegativesEntry":
         d = json.loads(line)
-        r = d["record"]
-        if len(d["neighbors"]) != 21:
-            raise DataError(f"record {r['id']}: {len(d['neighbors'])} neighbors, not 21")
-        return cls(ArxivRecord(r["id"], r.get("title", ""), r["abstract"],
-                               list(r["categories"])), list(d["neighbors"]))
+        record = ArxivRecord.from_dict(d["record"])
+        neighbors = _strings(d, "neighbors", f"record {record.id}")
+        if len(neighbors) != 21:
+            raise DataError(f"record {record.id}: {len(neighbors)} neighbors, not 21")
+        return cls(record, neighbors)
 
 
 @dataclass

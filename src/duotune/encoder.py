@@ -10,11 +10,17 @@ call backward.
 from __future__ import annotations
 
 import base64
+import ctypes
+import glob
 import hashlib
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
-from itertools import groupby
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
+from functools import lru_cache, partial
+from itertools import groupby, islice
+from threading import Lock
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -115,15 +121,17 @@ def _stages(params: Dict[str, T.Tensor], ids: np.ndarray, config: EncoderConfig,
         raise EncoderError("a sequence with no non-pad tokens cannot be encoded")
     dtype = params["embeddings.LayerNorm.weight"].dtype
     att_bias = np.where(mask, 0.0, ATTENTION_MASK_BIAS).astype(dtype)[:, None, None, :]
+    # Outside a tape nothing else holds an op's output, so each temporary is
+    # a call argument or deleted after use: it is freed once it has been read.
     for stage in range(start, stop):
         if stage == 0:
-            x = T.embedding(params["embeddings.word_embeddings.weight"], ids)
-            pos = T.embedding(params["embeddings.position_embeddings.weight"],
-                              np.broadcast_to(np.arange(L), (B, L)))
-            typ = T.embedding(params["embeddings.token_type_embeddings.weight"],
-                              np.zeros((B, L), dtype=np.int64))
-            x = T.add_layer_norm(T.add(x, pos), typ, params["embeddings.LayerNorm.weight"],
-                                 params["embeddings.LayerNorm.bias"])
+            x = T.add_layer_norm(
+                T.add(T.embedding(params["embeddings.word_embeddings.weight"], ids),
+                      T.embedding(params["embeddings.position_embeddings.weight"],
+                                  np.broadcast_to(np.arange(L), (B, L)))),
+                T.embedding(params["embeddings.token_type_embeddings.weight"],
+                            np.zeros((B, L), dtype=np.int64)),
+                params["embeddings.LayerNorm.weight"], params["embeddings.LayerNorm.bias"])
             continue
         p = f"encoder.layer.{stage - 1}."
 
@@ -135,8 +143,9 @@ def _stages(params: Dict[str, T.Tensor], ids: np.ndarray, config: EncoderConfig,
                           T.linear(x, *wb("attention.self.value")), att_bias, config.n_heads)
         x = T.add_layer_norm(x, T.linear(ctx, *wb("attention.output.dense")),
                              *wb("attention.output.LayerNorm"))
-        inter = T.gelu(T.linear(x, *wb("intermediate.dense")))
-        x = T.add_layer_norm(x, T.linear(inter, *wb("output.dense")), *wb("output.LayerNorm"))
+        del ctx
+        x = T.add_layer_norm(x, T.linear(T.gelu(T.linear(x, *wb("intermediate.dense"))),
+                                         *wb("output.dense")), *wb("output.LayerNorm"))
     return x
 
 
@@ -178,6 +187,11 @@ def encode_batch(params: Dict[str, T.Tensor], token_ids: np.ndarray,
     return T.l2_normalize(pooled)
 
 
+# Chunk forwards call this name, which a wrapper swapped in for the module's
+# `encode_batch` (perfbench/tracer.py: one span stack, not thread-safe) misses.
+_encode_batch = encode_batch
+
+
 def frozen_stages(trainable: Iterable[str], config: EncoderConfig) -> int:
     """How many leading stages (0 = embeddings, i + 1 = block i) hold none of
     the `trainable` parameter names; n_blocks + 1 when none trains."""
@@ -185,18 +199,78 @@ def frozen_stages(trainable: Iterable[str], config: EncoderConfig) -> int:
                 for n in trainable), default=config.n_blocks + 1)
 
 
+def _workers() -> int:
+    """2 (the caller and one helper thread) when this process may use 2+ CPUs, else 1."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(2, cpus or 1)
+
+
+@lru_cache(maxsize=None)
+def _openblas() -> Optional[tuple]:
+    """(get, set) of the thread count of the OpenBLAS that NumPy's wheels
+    bundle, or None under another BLAS."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
+    for path in glob.glob(libs):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            get, put = (getattr(lib, name.format(op), None) for op in ("get", "set"))
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def _run_chunks(tasks: Sequence[Callable[[], np.ndarray]]) -> list:
+    """Each task's result, in order, from the caller and (for 2+ tasks, with
+    NumPy's OpenBLAS held to one thread meanwhile) one helper thread taking
+    tasks by a shared index; NumPy, SciPy and BLAS drop the GIL in each. After a
+    failure no task starts, and once the helper has stopped the lowest-index
+    failure is raised, as a serial loop raises it."""
+    results, errors, order, lock = [None] * len(tasks), {}, iter(range(len(tasks))), Lock()
+
+    def work():
+        while not errors:
+            with lock:
+                i = next(order, None)
+            if i is None:
+                return
+            try:
+                results[i] = tasks[i]()
+            except BaseException as e:      # raised on the caller, below
+                errors[i] = e
+
+    blas = _openblas() if len(tasks) > 1 and _workers() > 1 else None
+    if blas is None:        # one task, one CPU, or a BLAS whose threads cannot be held to one
+        work()
+    else:
+        threads = blas[0]()
+        blas[1](1)          # two callers into a 2-thread OpenBLAS ran evaluation 20% slower
+        try:
+            with ThreadPoolExecutor(1) as helper:   # left once the helper has stopped
+                helping = helper.submit(work)
+                work()
+                helping.result()
+        finally:
+            blas[1](threads)
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def encode_prefix(params: ParamTree, token_lists: Iterable[Sequence[int]],
                   config: EncoderConfig, stages: int) -> PrefixTable:
     """Evaluation-mode activations after the first `stages` stages (see
     `frozen_stages`) of each distinct sequence in `token_lists`, at its own
     length; valid while those stages hold no trainable parameter."""
-    leaves, rows = wrap_params(T.Tape(), params), {}
+    chunks = []     # up to ENCODE_BATCH sequences of one length
     for _, same_len in groupby(sorted({tuple(s) for s in token_lists}, key=len), key=len):
         seqs = list(same_len)
-        for i in range(0, len(seqs), ENCODE_BATCH):
-            chunk = seqs[i:i + ENCODE_BATCH]
-            rows.update(zip(chunk, _stages(leaves, np.array(chunk), config, None, 0, stages).data))
-    return stages, rows
+        chunks += [seqs[i:i + ENCODE_BATCH] for i in range(0, len(seqs), ENCODE_BATCH)]
+    acts = _run_chunks([lambda c=c: _stages(wrap_params(T.Tape(), params), np.array(c), config,
+                                            None, 0, stages).data for c in chunks])
+    return stages, {seq: row for chunk, a in zip(chunks, acts) for seq, row in zip(chunk, a)}
 
 
 def wrap_params(tape: T.Tape, tree: ParamTree,
@@ -219,15 +293,57 @@ def pad_batch(token_lists: Sequence[Sequence[int]]) -> np.ndarray:
     return ids
 
 
+def _forward(tree: ParamTree, token_lists, config: EncoderConfig, prefix) -> np.ndarray:
+    return _encode_batch(wrap_params(T.Tape(), tree), pad_batch(token_lists), config,
+                         prefix=prefix).data
+
+
+def encode_groups(groups: Sequence[tuple], config: EncoderConfig,
+                  memo: Optional[dict] = None) -> List[np.ndarray]:
+    """Evaluation-mode encodes of (tower, token lists[, prefix]) groups: each
+    group's (N, hidden) rows in order, right-padded per ENCODE_BATCH-row chunk,
+    all chunks through one `_run_chunks`. A `memo` keeps groups without a prefix
+    under ("many", the tower's `tree_digest`, config, token sequences): a hit or
+    a repeat is not encoded again, and kept values are shared (write into none).
+    With no memo nothing is hashed or kept."""
+    out, digests, keys, pending, tasks, spans = [None] * len(groups), {}, {}, set(), [], []
+    for g, (tree, toks, *prefix) in enumerate(groups):
+        prefix = prefix[0] if prefix else None
+        if memo is not None and prefix is None:
+            digest = digests.get(id(tree)) or digests.setdefault(id(tree), tree_digest(tree))
+            key = keys[g] = ("many", digest, config, tuple(map(tuple, toks)))
+            if key in memo or key in pending:
+                continue                    # taken from the memo below
+            pending.add(key)
+        if not toks:
+            out[g] = np.zeros((0, config.hidden), dtype=next(iter(tree.values())).dtype)
+            continue
+        start = len(tasks)
+        tasks += [partial(_forward, tree, toks[i:i + ENCODE_BATCH], config, prefix)
+                  for i in range(0, len(toks), ENCODE_BATCH)]
+        spans.append((g, start, len(tasks)))
+    done = _run_chunks(tasks)
+    for g, start, stop in spans:
+        out[g] = np.concatenate(done[start:stop], axis=0)
+    for g, key in keys.items():             # in group order: a repeat follows its first
+        out[g] = memo.setdefault(key, out[g])
+    return out
+
+
+# (`encode_groups` groups, function of their encodes)
+Plan = Tuple[List[tuple], Callable[[List[np.ndarray]], object]]
+
+
+def run_plans(plans: Sequence[Plan], config: EncoderConfig, memo: Optional[dict] = None) -> list:
+    """Each plan's function of its groups' encodes, from one `encode_groups` call."""
+    encodes = iter(encode_groups([g for groups, _ in plans for g in groups], config, memo))
+    return [finish(list(islice(encodes, len(groups)))) for groups, finish in plans]
+
+
 def encode_many(params: ParamTree, token_lists: Sequence[Sequence[int]],
-                config: EncoderConfig, prefix: Optional[PrefixTable] = None) -> np.ndarray:
+                config: EncoderConfig) -> np.ndarray:
     """Evaluation-mode batched encode with right-padding; returns (N, hidden)."""
-    if not token_lists:
-        return np.zeros((0, config.hidden), dtype=np.float32)
-    return np.concatenate([
-        encode_batch(wrap_params(T.Tape(), params),
-                     pad_batch(token_lists[start:start + ENCODE_BATCH]), config, prefix=prefix).data
-        for start in range(0, len(token_lists), ENCODE_BATCH)], axis=0)
+    return encode_groups([(params, token_lists)], config)[0]
 
 
 def tree_digest(tree: ParamTree) -> str:
@@ -237,24 +353,6 @@ def tree_digest(tree: ParamTree) -> str:
         h.update(f"{name}:{tree[name].dtype.str}{tree[name].shape}".encode())
         h.update(np.ascontiguousarray(tree[name]).tobytes())
     return h.hexdigest()
-
-
-def memo_encoder(memo: Optional[dict], params: ParamTree, config: EncoderConfig,
-                 encode_fn: Callable, kind="many") -> Callable[[Sequence[Sequence[int]]], object]:
-    """token_lists -> encode_fn(params, token_lists, config), kept in `memo` under
-    (kind, the tower's `tree_digest`, taken once here, config, token sequences).
-    The encode is deterministic, so a hit has a fresh encode's bits. Kept values
-    are shared: write into none. With no memo nothing is hashed or kept."""
-    if memo is None:
-        return lambda toks: encode_fn(params, toks, config)
-    digest = tree_digest(params)
-
-    def cached(toks):
-        key = (kind, digest, config, tuple(map(tuple, toks)))
-        if key not in memo:
-            memo[key] = encode_fn(params, toks, config)
-        return memo[key]
-    return cached
 
 
 def similarity(a: np.ndarray, b: np.ndarray, measure: str) -> float:

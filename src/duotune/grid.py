@@ -7,12 +7,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .data import read_jsonl
-from .encoder import DualEncoder, Vocab, encode_many, measure_from_dots, memo_encoder
+from .encoder import DualEncoder, Plan, Vocab, measure_from_dots, run_plans
+from .encoder import encode_many  # unused here: perfbench/tracer.py wraps grid.encode_many
 from .metrics import count_errors, z_test
 
 LABELS = ("entailment", "neutral", "contradiction")
@@ -89,35 +90,40 @@ class PairGridReport:
         return float(self.errors[contrast].mean() / self.cell_total)
 
 
-def grid_reports(model: DualEncoder, corpus: PairCorpus, measures: Sequence[str],
-                 vocab: Vocab, memo: Optional[dict] = None) -> Dict[str, PairGridReport]:
-    """Per-cell error counts under each of `measures`: the full cross product of
-    entailment vs contrast pairs, sentence1 through the query encoder. One
-    `encode_many` call per (label, language, side) group (or `memo` hit) serves
-    every measure; groups stay apart, as padding a row into a longer batch can change it."""
-    K = len(corpus.languages)
-    max_len = model.config.max_positions
-    towers = [memo_encoder(memo, params, model.config, encode_many)
-              for params in (model.query_params, model.text_params)]
-    emb: Dict[Tuple[int, str, str], np.ndarray] = {}   # (side, label, language)
-    for lbl in LABELS:
-        for lang in corpus.languages:
-            for side, encode in enumerate(towers):
-                toks = [vocab.encode(pair[lang][side], max_len) for pair in corpus.pairs[lbl]]
-                emb[(side, lbl, lang)] = encode(toks).astype(np.float64)
+def grid_plan(model: DualEncoder, corpus: PairCorpus, measures: Sequence[str],
+              vocab: Vocab) -> Plan:
+    """`grid_reports` as a plan (see `run_plans`): one group per (label,
+    language, side), kept apart, as padding a row into a longer batch can change it."""
+    K, max_len = len(corpus.languages), model.config.max_positions
+    towers = (model.query_params, model.text_params)
+    index = [(side, lbl, lang) for lbl in LABELS for lang in corpus.languages for side in (0, 1)]
+    groups = [(towers[side], [vocab.encode(pair[lang][side], max_len)
+                              for pair in corpus.pairs[lbl]]) for side, lbl, lang in index]
 
-    reports = {m: PairGridReport(list(corpus.languages), m, len(corpus),
-                                 {c: np.zeros((K, K), dtype=np.int64) for c in CONTRAST_LABELS})
-               for m in measures}
-    for qi, lq in enumerate(corpus.languages):
-        for ti, lt in enumerate(corpus.languages):
-            dots = {lbl: np.sum(emb[(0, lbl, lq)] * emb[(1, lbl, lt)], axis=1) for lbl in LABELS}
-            for m, report in reports.items():
-                ent = measure_from_dots(dots["entailment"], m)
-                for contrast in CONTRAST_LABELS:
-                    report.errors[contrast][qi, ti] = count_errors(
-                        ent, measure_from_dots(dots[contrast], m))
-    return reports
+    def finish(encodes: List[np.ndarray]) -> Dict[str, PairGridReport]:
+        emb = {k: e.astype(np.float64) for k, e in zip(index, encodes)}
+        reports = {m: PairGridReport(list(corpus.languages), m, len(corpus),
+                                     {c: np.zeros((K, K), dtype=np.int64) for c in CONTRAST_LABELS})
+                   for m in measures}
+        for qi, lq in enumerate(corpus.languages):
+            for ti, lt in enumerate(corpus.languages):
+                dots = {lbl: np.sum(emb[(0, lbl, lq)] * emb[(1, lbl, lt)], axis=1)
+                        for lbl in LABELS}
+                for m, report in reports.items():
+                    ent = measure_from_dots(dots["entailment"], m)
+                    for contrast in CONTRAST_LABELS:
+                        report.errors[contrast][qi, ti] = count_errors(
+                            ent, measure_from_dots(dots[contrast], m))
+        return reports
+    return groups, finish
+
+
+def grid_reports(model: DualEncoder, corpus: PairCorpus, measures: Sequence[str],
+                 vocab: Vocab) -> Dict[str, PairGridReport]:
+    """Per-cell error counts under each of `measures`: the full cross product of
+    entailment vs contrast pairs, sentence1 through the query encoder, from one
+    encode of each group for every measure."""
+    return run_plans([grid_plan(model, corpus, measures, vocab)], model.config)[0]
 
 
 def grid_eval(model: DualEncoder, corpus: PairCorpus, measure: str,

@@ -18,8 +18,9 @@ import numpy as np
 
 from . import freeze
 from .data import TripletSample
-from .encoder import MEASURES, DualEncoder, ParamTree, Vocab, encode_many, memo_encoder
-from .grid import GridComparison, PairCorpus, PairGridReport, grid_compare, grid_reports
+from .encoder import MEASURES, DualEncoder, ParamTree, Plan, Vocab, run_plans
+from .encoder import encode_many  # unused here: perfbench/tracer.py wraps lab.encode_many
+from .grid import GridComparison, PairCorpus, PairGridReport, grid_compare, grid_plan
 from .grid import grid_eval  # unused here: perfbench/tracer.py wraps lab.grid_eval
 from .metrics import EvalReport, QueryJudgments, full_reports, improvement, z_test
 from .tuning import RunRecord, TuneConfig, tune
@@ -74,22 +75,30 @@ def diagnose_layers(before: ParamTree, after: ParamTree) -> LayerChangeReport:
 
 # --- evaluation over triplet datasets ----------------------------------------
 
+def triplet_plan(model: DualEncoder, samples: Sequence[TripletSample], vocab: Vocab) -> Plan:
+    """`judgments_from_triplets` as a plan (see `run_plans`): the queries, and
+    every sample's candidates."""
+    max_len = model.config.max_positions
+    groups = [(model.query_params, [vocab.encode(s.query, max_len) for s in samples]),
+              (model.text_params, [vocab.encode(t, max_len)
+                                   for s in samples for t in s.positives + s.negatives])]
+
+    def finish(encodes: List[np.ndarray]) -> List[QueryJudgments]:
+        queries, texts = encodes
+        sizes = [len(s.positives) + len(s.negatives) for s in samples]
+        return [QueryJudgments(q, emb, np.arange(len(emb)) < len(s.positives))
+                for s, q, emb in zip(samples, queries, np.split(texts, np.cumsum(sizes)[:-1]))]
+    return groups, finish
+
+
 def judgments_from_triplets(model: DualEncoder, samples: Sequence[TripletSample],
                             vocab: Vocab, memo: Optional[dict] = None) -> List[QueryJudgments]:
-    max_len = model.config.max_positions
-    queries = memo_encoder(memo, model.query_params, model.config, encode_many)(
-        [vocab.encode(s.query, max_len) for s in samples])
-    texts = memo_encoder(memo, model.text_params, model.config, encode_many)(
-        [vocab.encode(t, max_len) for s in samples for t in s.positives + s.negatives])
-    sizes = [len(s.positives) + len(s.negatives) for s in samples]
-    return [QueryJudgments(q, emb, np.arange(len(emb)) < len(s.positives))
-            for s, q, emb in zip(samples, queries, np.split(texts, np.cumsum(sizes)[:-1]))]
+    return run_plans([triplet_plan(model, samples, vocab)], model.config, memo)[0]
 
 
 def evaluate_triplets(model: DualEncoder, samples: Sequence[TripletSample],
-                      vocab: Vocab, measures: Sequence[str] = MEASURES,
-                      memo: Optional[dict] = None) -> Dict[str, EvalReport]:
-    return full_reports(judgments_from_triplets(model, samples, vocab, memo), measures)
+                      vocab: Vocab, measures: Sequence[str] = MEASURES) -> Dict[str, EvalReport]:
+    return full_reports(judgments_from_triplets(model, samples, vocab), measures)
 
 
 # --- sweeps -------------------------------------------------------------------
@@ -159,7 +168,7 @@ def run_sweep(model: DualEncoder, train: Sequence[TripletSample],
               spec: SweepSpec) -> SweepReport:
     """One tune+eval per swept value against the same starting model."""
     configs = [apply_axis_value(spec.base, spec.axis, v) for v in spec.values]
-    memo: dict = {}     # every encode of this call, kept by `memo_encoder`
+    memo: dict = {}     # every encode and prefix table of this call, kept by content
     for cfg in configs:   # a bad freeze spec fails before any point is tuned
         frozen = freeze.parse_freeze_spec(cfg.freeze)
         trained = [model.query_params] + ([model.text_params] if cfg.mode == "both-tuned" else [])
@@ -167,12 +176,14 @@ def run_sweep(model: DualEncoder, train: Sequence[TripletSample],
             freeze.resolve(frozen, tree)
 
     def evaluate(dual: DualEncoder):
-        """Every eval set's reports and, with a grid corpus, each measure's grid."""
-        reports = {name: evaluate_triplets(dual, samples, vocab, spec.measures, memo)
-                   for name, samples in spec.eval_sets.items()}
-        grids = (grid_reports(dual, spec.grid_corpus, spec.measures, vocab, memo)
-                 if spec.grid_corpus is not None else None)
-        return reports, grids
+        """Every eval set's reports and, with a grid corpus, each measure's grid,
+        from one `run_plans` call."""
+        plans = [triplet_plan(dual, samples, vocab) for samples in spec.eval_sets.values()]
+        if spec.grid_corpus is not None:
+            plans.append(grid_plan(dual, spec.grid_corpus, spec.measures, vocab))
+        done = run_plans(plans, dual.config, memo)
+        reports = {name: full_reports(j, spec.measures) for name, j in zip(spec.eval_sets, done)}
+        return reports, (done[-1] if spec.grid_corpus is not None else None)
 
     base_reports, base_grids = evaluate(model)
     points: List[SweepPointResult] = []

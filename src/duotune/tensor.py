@@ -269,7 +269,13 @@ def softmax(a: Tensor) -> Tensor:
 
 def gelu(a: Tensor) -> Tensor:
     x = a.data
-    phi = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    phi = x * _INV_SQRT2            # 0.5 * (1 + erf(x / sqrt 2)), in one new buffer
+    erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
+    if not a.requires_grad:         # no backward reads phi: finish in its buffer
+        phi *= x
+        return _make(phi, (a,), None)
     out = x * phi
 
     def backward(g):
@@ -298,6 +304,10 @@ def _layer_norm(xhat: np.ndarray, inputs: tuple, weight: Tensor, bias: Tensor,
     xhat -= xhat.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + eps)
     xhat *= inv
+    if not any(t.requires_grad for t in (*inputs, weight, bias)):
+        xhat *= weight.data     # no backward reads xhat: finish in its buffer
+        xhat += bias.data
+        return _make(xhat, (*inputs, weight, bias), None)
     out = xhat * weight.data
     out += bias.data
 

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import tensor as T
 from .data import TripletSample
-from .encoder import (DualEncoder, PrefixTable, Vocab, encode_batch, encode_many, encode_prefix,
-                      frozen_stages, memo_encoder, pad_batch, wrap_params)
+from .encoder import (DualEncoder, PrefixTable, Vocab, encode_batch, encode_groups,
+                      encode_prefix, frozen_stages, pad_batch, tree_digest, wrap_params)
 from .freeze import parse_freeze_spec, trainable_names
 from .optim import (FIXED, LossSpec, Optimizer, OptimizerSpec, SchedulerSpec,
                     scheduler_value, triplet_margin_loss)
@@ -136,11 +136,10 @@ def validate(model: DualEncoder, valid_tokens: Sequence[Tuple[list, list, list]]
     if not valid_tokens:
         raise TuningError("validation set is empty")
     prefixes = prefixes or {}
-    anchors = encode_many(model.query_params, [t[0] for t in valid_tokens], model.config,
-                          prefix=prefixes.get("query"))
-    texts = encode_many(model.text_params,
-                        [t[1] for t in valid_tokens] + [t[2] for t in valid_tokens],
-                        model.config, prefix=prefixes.get("text"))
+    anchors, texts = encode_groups(
+        [(model.query_params, [t[0] for t in valid_tokens], prefixes.get("query")),
+         (model.text_params, [t[1] for t in valid_tokens] + [t[2] for t in valid_tokens],
+          prefixes.get("text"))], model.config)
     pos, neg = np.split(texts, 2)
     dp = np.linalg.norm(anchors - pos, axis=-1)
     dn = np.linalg.norm(anchors - neg, axis=-1)
@@ -172,7 +171,8 @@ def tune(model: DualEncoder, train: Sequence[TripletSample],
     """Tune `model` in place-free fashion; returns (best checkpoint, record).
 
     `validate_fn` defaults to the real validation pass; tests may inject a
-    stub to exercise the acceptance rule. `memo` keeps the prefix tables.
+    stub to exercise the acceptance rule. `memo` keeps the prefix tables, by
+    content, as `encode_groups` keeps encodes.
     """
     if not valid and validate_fn is None:
         raise TuningError("validation set is empty")
@@ -195,10 +195,15 @@ def tune(model: DualEncoder, train: Sequence[TripletSample],
     prefixes = {}
     for side, tree in towers.items():
         stages = frozen_stages(trainable.get(side, ()), work.config)
-        if stages:
-            build = lambda p, s, c: encode_prefix(p, s, c, stages)
-            prefixes[side] = memo_encoder(memo, tree, work.config, build, ("prefix", stages))(
-                seqs[side])
+        if stages:      # hashed only with a memo; a deterministic build, so a hit has its bits
+            key = memo is not None and (("prefix", stages), tree_digest(tree), work.config,
+                                        tuple(map(tuple, seqs[side])))
+            if key and key in memo:
+                prefixes[side] = memo[key]
+            else:
+                prefixes[side] = encode_prefix(tree, seqs[side], work.config, stages)
+                if key:
+                    memo[key] = prefixes[side]
 
     if validate_fn is None:
         validate_fn = lambda m: validate(m, valid_tok, cfg.loss, prefixes)

@@ -478,20 +478,21 @@ def test_grid_eval_of_both_measures_encodes_once_for_both(workspace, tmp_path, m
     p = corpus_paths(workspace)
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return encode_many(*args, **kwargs)
+    def counting(plans, config, memo=None):
+        calls.append(sum(len(groups) for groups, _ in plans))
+        return run_plans(plans, config, memo)
 
-    encode_many = grid.encode_many
-    monkeypatch.setattr(grid, "encode_many", counting)
+    run_plans = grid.run_plans
+    monkeypatch.setattr(grid, "run_plans", counting)
     counts = {}
     for measure in ("both", "cosine", "euclidean"):
         calls.clear()
         assert main(["grid-eval", "--model", str(p["model"]), "--pairs", str(p["pairs"]),
                      "--vocab", str(p["vocab"]), "--measure", measure,
                      "--out", str(tmp_path / measure)]) == 0
-        counts[measure] = len(calls)
-    assert counts == {"both": 3 * 2 * 2, "cosine": 3 * 2 * 2, "euclidean": 3 * 2 * 2}
+        counts[measure] = calls[:]
+    # one call: 3 labels x 2 languages x 2 sides
+    assert counts == {"both": [3 * 2 * 2], "cosine": [3 * 2 * 2], "euclidean": [3 * 2 * 2]}
     for m in ("cosine", "euclidean"):
         for contrast in ("neutral", "contradiction"):
             name = f"grid_{m}_{contrast}.csv"
@@ -741,6 +742,33 @@ def refused(case, workspace, tmp_path):
                             *(str(bad) if a == p["train"] else a for a in tune_args)],
                 "--input": ["split", "--input", str(bad)]}[case.split()[2]]
         return [*argv, "--out", str(out)], out
+    if case.startswith("text field"):
+        flag, field = case.split()[2:]
+        record = {"query": "w010", "pos": ["w011"], "neg": ["w012"]}
+        record[field] = {"pos": "w011 w012", "neg": ["w012", 3], "query": 7}[field]
+        bad = tmp_path / "text_field.jsonl"
+        bad.write_text(json.dumps(record) + "\n")
+        argv = {"--data": ["eval", *model, "--vocab", p["vocab"], "--data", str(bad)],
+                "--train": ["tune", *model, "--vocab", p["vocab"],
+                            *(str(bad) if a == p["train"] else a for a in tune_args)],
+                "--valid": ["tune", *model, "--vocab", p["vocab"],
+                            *(str(bad) if a == p["valid"] else a for a in tune_args)],
+                "--eval": [*sweep_args, "--eval", f"h={bad}"],
+                "--input": ["split", "--input", str(bad)]}[flag]
+        return [*argv, "--out", str(out)], out
+    if case.startswith("arxiv field"):
+        flag, field = case.split()[2:]
+        record = {"id": "a1", "title": "t", "abstract": "a. b.", "categories": ["cs.CL"]}
+        entry = {"record": record, "neighbors": ["a2"] * 21}
+        if field == "categories":
+            record["categories"] = "cs.CL"
+        else:
+            entry["neighbors"] = "a" * 21
+        bad = tmp_path / "arxiv_field.jsonl"
+        bad.write_text(json.dumps(entry if flag == "--negatives" else record) + "\n")
+        if flag == "--negatives":
+            return [*negatives, str(bad)], out
+        return ["mine-arxiv", "--input", str(bad), "--out", str(out)], out
     if case == "diagnose across depths":
         deep = tmp_path / "deep.ckpt"
         assert main(["init-model", "--vocab", p["vocab"], "--out", str(deep), "--seed", "1",
@@ -774,6 +802,22 @@ def refused(case, workspace, tmp_path):
                                                "1 positives, 0 negatives"]),
     ("diagnose across depths", ["--before", "--after", "deep.ckpt",
                                 "parameter name sets differ"]),
+    ("text field --data pos", ["argument --data", "text_field.jsonl", "query 'w010'",
+                               "pos 'w011 w012' is not a list of strings"]),
+    ("text field --train neg", ["argument --train", "text_field.jsonl", "query 'w010'",
+                                "neg ['w012', 3] is not a list of strings"]),
+    ("text field --valid query", ["argument --valid", "text_field.jsonl",
+                                  "query 7: query is not a string"]),
+    ("text field --eval pos", ["argument --eval", "text_field.jsonl", "query 'w010'",
+                               "pos 'w011 w012' is not a list of strings"]),
+    ("text field --input query", ["argument --input", "text_field.jsonl",
+                                  "query 7: query is not a string"]),
+    ("arxiv field --input categories", ["argument --input", "arxiv_field.jsonl", "record a1",
+                                        "categories 'cs.CL' is not a list of strings"]),
+    ("arxiv field --negatives categories", ["argument --negatives", "arxiv_field.jsonl",
+                                            "record a1", "categories 'cs.CL'"]),
+    ("arxiv field --negatives neighbors", ["argument --negatives", "arxiv_field.jsonl",
+                                           "record a1", "neighbors 'aaaaaaaaaaaaaaaaaaaaa'"]),
 ])
 def test_refused_flag_values_are_usage_errors(workspace, tmp_path, capsys, case, named):
     argv, out = refused(case, workspace, tmp_path)

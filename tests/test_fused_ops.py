@@ -200,3 +200,17 @@ def test_fused_ops_reject_mismatched_shapes():
                          tape.leaf(np.zeros(3)))
     with pytest.raises(T.TensorError):
         T.triplet_margin_loss(x, x, tape.leaf(np.ones((1, 3))), 0.1)
+
+
+def test_untaped_gelu_and_layer_norms_match_the_taped_ops_and_write_no_input():
+    vals = f32_inputs({"a": (14, 8, 64), "b": (14, 8, 64), "w": (64,), "bias": (64,)}, 11)
+    ops = {"gelu": lambda a, b, w, bias: T.gelu(a),
+           "layer_norm": lambda a, b, w, bias: T.layer_norm(a, w, bias),
+           "add_layer_norm": T.add_layer_norm}
+    for name, op in ops.items():
+        taped, _ = run(op, vals)
+        before = {k: v.copy() for k, v in vals.items()}
+        out = op(*(T.Tape().leaf(v) for v in vals.values()))
+        assert not out.requires_grad and np.array_equal(out.data, taped), name
+        assert all(np.array_equal(vals[k], before[k]) for k in vals), name
+        assert not any(np.shares_memory(out.data, v) for v in vals.values()), name

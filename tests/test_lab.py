@@ -7,7 +7,7 @@ import io
 import numpy as np
 import pytest
 
-from duotune import grid, lab
+from duotune import encoder, grid, lab
 from duotune import tensor as T
 from duotune.data import TripletSample
 from duotune.encoder import (DualEncoder, EncoderConfig, Vocab, copy_tree, encode_many,
@@ -124,7 +124,7 @@ def test_sweep_rejects_a_bad_freeze_value_before_any_point_is_tuned(monkeypatch)
     spec = dataclasses.replace(spec, axis="freeze")
     calls = []
     monkeypatch.setattr(lab, "tune", lambda *a: calls.append("tune"))
-    monkeypatch.setattr(lab, "evaluate_triplets", lambda *a: calls.append("evaluate"))
+    monkeypatch.setattr(lab, "run_plans", lambda *a: calls.append("evaluate"))
     with pytest.raises(FreezeSpecError, match="B9"):
         run_sweep(model, train, valid, VOCAB, spec)
     assert calls == []
@@ -180,23 +180,55 @@ def record_calls(monkeypatch, module, name, sink):
     monkeypatch.setattr(module, name, recording)
 
 
+def record_finishes(monkeypatch, module, name, sink):
+    """Append to `sink` what the finish of each (groups, finish) plan that
+    `module.name` returns builds."""
+    real = getattr(module, name)
+
+    def planning(*args, **kwargs):
+        groups, finish = real(*args, **kwargs)
+        return groups, lambda encodes: sink.append(finish(encodes)) or sink[-1]
+
+    monkeypatch.setattr(module, name, planning)
+
+
+def count_encodes(monkeypatch, module):
+    """Rows of each chunk that the `run_plans` calls made through `module`
+    encode, on either thread (memo hits are not encoded)."""
+    rows, inside = [], []
+    real_plans, real_forward = module.run_plans, encoder._forward
+
+    def plans(*args, **kwargs):
+        inside.append(1)
+        try:
+            return real_plans(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def forward(tree, token_lists, *args):
+        if inside:
+            rows.append(len(token_lists))
+        return real_forward(tree, token_lists, *args)
+
+    monkeypatch.setattr(module, "run_plans", plans)
+    monkeypatch.setattr(encoder, "_forward", forward)
+    return rows
+
+
 def test_grid_sweep_encodes_the_base_grid_and_each_moved_query_tower_once(monkeypatch):
     model, train, valid, spec = mixed_sweep("learning_rate", [1e-3, 1e-2])
     spec = dataclasses.replace(spec, grid_corpus=mixed_length_pairs(n_languages=3, n_pairs=2)[0])
-    calls, tunes = [], []
-
-    def counting(params, token_lists, config):
-        calls.append(len(token_lists))
-        return encode_many(params, token_lists, config)
-
-    monkeypatch.setattr(grid, "encode_many", counting)
+    tunes = []
+    calls = count_encodes(monkeypatch, lab)
     record_calls(monkeypatch, lab, "tune", tunes)
     report = run_sweep(model, train, valid, VOCAB, spec)
     moved = [not trees_equal(tuned.query_params, model.query_params) for tuned, _ in tunes]
     assert moved == [False, True]
-    # the base: 3 labels x 3 languages x 2 sides, whatever the measures; then
-    # the query side of each point whose query tower moved (the text tower is frozen)
-    assert len(calls) == 3 * 3 * 2 + 3 * 3 * sum(moved) and set(calls) == {2}
+    # the base: 3 labels x 3 languages x 2 sides, whatever the measures, and the
+    # eval set's 10 queries and 20 texts; then the query side of each point whose
+    # query tower moved (the text tower is frozen)
+    assert sorted(calls) == sorted([2] * (3 * 3 * 2 + 3 * 3 * sum(moved))
+                                   + [10, 20] + [10] * sum(moved))
     assert all(set(pt.grid) == set(spec.measures) for pt in report.points)
 
 
@@ -220,20 +252,21 @@ def test_each_sweep_point_equals_an_independent_run_without_a_memo(monkeypatch, 
     assert any(r.best_epoch == 0 for _, r in runs) == (sweep == "query-only lr")
     assert any(r.best_epoch > 0 for _, r in runs)
 
-    seen = {"tune": [], "judgments_from_triplets": [], "grid_reports": []}
-    for name, sink in seen.items():
-        record_calls(monkeypatch, lab, name, sink)
+    seen = {"tune": [], "triplet_plan": [], "grid_plan": []}
+    record_calls(monkeypatch, lab, "tune", seen["tune"])
+    for name in ("triplet_plan", "grid_plan"):
+        record_finishes(monkeypatch, lab, name, seen[name])
     report = run_sweep(model, train, valid, VOCAB, spec)
 
     for (tuned, record), (got, got_record), pt in zip(runs, seen["tune"], report.points):
         assert got_record == record == pt.record
         assert trees_equal(got.query_params, tuned.query_params)
         assert trees_equal(got.text_params, tuned.text_params)
-    for want, got in zip(judgments, seen["judgments_from_triplets"], strict=True):
+    for want, got in zip(judgments, seen["triplet_plan"], strict=True):
         for a, b in zip(want, got, strict=True):
             for field in ("query", "candidates", "is_positive"):
                 assert np.array_equal(getattr(a, field), getattr(b, field))
-    for want, got in zip(grids, seen["grid_reports"], strict=True):
+    for want, got in zip(grids, seen["grid_plan"], strict=True):
         for m in measures:
             for c in grid.CONTRAST_LABELS:
                 assert np.array_equal(want[m].errors[c], got[m].errors[c])
@@ -251,28 +284,27 @@ def test_each_sweep_point_equals_an_independent_run_without_a_memo(monkeypatch, 
 
 def test_each_sweep_encodes_its_base_model(monkeypatch):
     model, train, valid, spec = mixed_sweep("learning_rate", [1e-3])   # accepts no epoch
-    calls = []
-    monkeypatch.setattr(lab, "encode_many", lambda *a: calls.append(1) or encode_many(*a))
+    calls = count_encodes(monkeypatch, lab)
     counts = []
     for _ in range(2):
         calls.clear()
         run_sweep(model, train, valid, VOCAB, spec)
-        counts.append(len(calls))
-    # the base's query and text encodes each time; the point's evaluation is all hits
-    assert counts == [2, 2]
+        counts.append(sorted(calls))
+    # the base's 10 queries, 20 texts and 2 x 3 x 2 grid groups of 3 pairs each
+    # time; the point's evaluation is all hits
+    assert counts == [sorted([10, 20] + [3] * 12)] * 2
 
 
 def test_a_tower_changed_in_place_is_encoded_again(monkeypatch):
     model = DualEncoder.twin_init(CFG, T.Rng(3))
-    samples, memo, calls = mixed_triplets(6, seed=4), {}, []
-    monkeypatch.setattr(lab, "encode_many", lambda p, t, c: calls.append(len(t)) or
-                        encode_many(p, t, c))
+    samples, memo = mixed_triplets(6, seed=4), {}
+    calls = count_encodes(monkeypatch, lab)
     first = judgments_from_triplets(model, samples, VOCAB, memo)
     judgments_from_triplets(model.copy(), samples, VOCAB, memo)
-    assert calls == [6, 12]                                 # a copy is all hits
+    assert sorted(calls) == [6, 12]                         # a copy is all hits
     model.query_params["encoder.layer.0.output.dense.bias"] += 0.5
     again = judgments_from_triplets(model, samples, VOCAB, memo)
-    assert calls == [6, 12, 6]                              # the query tower only
+    assert calls[2:] == [6]                                 # the query tower only
     fresh = judgments_from_triplets(model, samples, VOCAB)
     assert all(np.array_equal(a.query, b.query) and np.array_equal(a.candidates, b.candidates)
                for a, b in zip(again, fresh))
@@ -353,15 +385,17 @@ def test_judgments_match_per_sample_encodes():
 
 
 def test_judgments_encode_once_per_tower(monkeypatch):
-    calls = []
+    model, calls = DualEncoder.twin_init(CFG, T.Rng(3)), []
+    real = lab.run_plans
 
-    def counting(params, token_lists, config):
-        calls.append(len(token_lists))
-        return encode_many(params, token_lists, config)
+    def counting(plans, config, memo=None):
+        calls.append([(tree is model.text_params, len(toks))
+                      for groups, _ in plans for tree, toks in groups])
+        return real(plans, config, memo)
 
-    monkeypatch.setattr(lab, "encode_many", counting)
-    judgments_from_triplets(DualEncoder.twin_init(CFG, T.Rng(3)), uneven_samples(), VOCAB)
-    assert calls == [3, 12]
+    monkeypatch.setattr(lab, "run_plans", counting)
+    judgments_from_triplets(model, uneven_samples(), VOCAB)
+    assert calls == [[(False, 3), (True, 12)]]              # one call, each tower once
 
 
 def test_eval_csv_rows():
