@@ -430,27 +430,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("gen-synth", help="generate a synthetic cipher-language corpus")
+    s = D.SynthCorpusSpec()
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=_at_least(int, 0), default=0)
-    p.add_argument("--languages", type=_at_least(int, 1), default=4)
-    p.add_argument("--vocab-size", type=_at_least(int, 1), default=96, dest="vocab_size")
-    p.add_argument("--topics", type=_at_least(int, 2), default=8)
-    p.add_argument("--sentence-len", type=_at_least(int, 1), default=8, dest="sentence_len")
-    p.add_argument("--pretrain", type=_at_least(int, 0), default=400)
-    p.add_argument("--tune", type=_at_least(int, 0), default=400)
-    p.add_argument("--heldout", type=_at_least(int, 0), default=200)
-    p.add_argument("--pairs-per-label", type=_at_least(int, 0), default=30,
-                   dest="pairs_per_label")
+    p.add_argument("--seed", type=_at_least(int, 0), default=s.seed)
+    p.add_argument("--languages", type=_at_least(int, 1), default=s.n_languages)
+    p.add_argument("--vocab-size", type=_at_least(int, 1), default=s.vocab_size)
+    p.add_argument("--topics", type=_at_least(int, 2), default=s.n_topics)
+    p.add_argument("--sentence-len", type=_at_least(int, 1), default=s.sentence_len)
+    p.add_argument("--pretrain", type=_at_least(int, 0), default=s.n_pretrain)
+    p.add_argument("--tune", type=_at_least(int, 0), default=s.n_tune)
+    p.add_argument("--heldout", type=_at_least(int, 0), default=s.n_heldout)
+    p.add_argument("--pairs-per-label", type=_at_least(int, 0), default=s.n_pairs_per_label)
     p.set_defaults(func=cmd_gen_synth)
 
     p = sub.add_parser("init-model", help="initialize a twin dual encoder")
+    e = EncoderConfig()
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_at_least(int, 0), default=0)
-    p.add_argument("--hidden", type=_at_least(int, 1), default=64)
-    p.add_argument("--blocks", type=_at_least(int, 1), default=4)
-    p.add_argument("--heads", type=_at_least(int, 1), default=4)
-    p.add_argument("--max-positions", type=_at_least(int, 1), default=64, dest="max_positions")
+    p.add_argument("--hidden", type=_at_least(int, 1), default=e.hidden)
+    p.add_argument("--blocks", type=_at_least(int, 1), default=e.n_blocks)
+    p.add_argument("--heads", type=_at_least(int, 1), default=e.n_heads)
+    p.add_argument("--max-positions", type=_at_least(int, 1), default=e.max_positions)
     p.set_defaults(func=cmd_init_model)
 
     p = sub.add_parser("split", help="split triplets into train/valid/eval")

@@ -48,6 +48,9 @@ class TripletSample:
         if not (pos and neg):
             raise DataError(f"{where}: {len(pos)} positives, {len(neg)} negatives; "
                             "a triplet needs one of each")
+        for field, texts in (("query", [d["query"]]), ("pos", pos), ("neg", neg)):
+            if not all(t.strip() for t in texts):      # no token to encode
+                raise DataError(f"{where}: {field} holds a blank text")
         return cls(d["query"], pos, neg)
 
 

@@ -259,18 +259,30 @@ def _run_chunks(tasks: Sequence[Callable[[], np.ndarray]]) -> list:
     return results
 
 
-def encode_prefix(params: ParamTree, token_lists: Iterable[Sequence[int]],
-                  config: EncoderConfig, stages: int) -> PrefixTable:
+def _memo_key(kind, tree: ParamTree, config: EncoderConfig, token_lists, digests: dict) -> tuple:
+    """A memo's content key for a (deterministic) encode of `kind`: the kind, the tower's
+    `tree_digest` (hashed once per call, kept in `digests`), config and token sequences."""
+    digest = digests.get(id(tree)) or digests.setdefault(id(tree), tree_digest(tree))
+    return kind, digest, config, tuple(map(tuple, token_lists))
+
+
+def encode_prefix(params: ParamTree, token_lists: Sequence[Sequence[int]],
+                  config: EncoderConfig, stages: int, memo: Optional[dict] = None) -> PrefixTable:
     """Evaluation-mode activations after the first `stages` stages (see
     `frozen_stages`) of each distinct sequence in `token_lists`, at its own
-    length; valid while those stages hold no trainable parameter."""
+    length; valid while those stages hold no trainable parameter. A `memo`
+    keeps the table by content, as `encode_groups` keeps encodes."""
+    key = memo is not None and _memo_key(("prefix", stages), params, config, token_lists, {})
+    if key and key in memo:
+        return memo[key]
     chunks = []     # up to ENCODE_BATCH sequences of one length
     for _, same_len in groupby(sorted({tuple(s) for s in token_lists}, key=len), key=len):
         seqs = list(same_len)
         chunks += [seqs[i:i + ENCODE_BATCH] for i in range(0, len(seqs), ENCODE_BATCH)]
     acts = _run_chunks([lambda c=c: _stages(wrap_params(T.Tape(), params), np.array(c), config,
                                             None, 0, stages).data for c in chunks])
-    return stages, {seq: row for chunk, a in zip(chunks, acts) for seq, row in zip(chunk, a)}
+    table = stages, {seq: row for chunk, a in zip(chunks, acts) for seq, row in zip(chunk, a)}
+    return memo.setdefault(key, table) if key else table
 
 
 def wrap_params(tape: T.Tape, tree: ParamTree,
@@ -303,15 +315,13 @@ def encode_groups(groups: Sequence[tuple], config: EncoderConfig,
     """Evaluation-mode encodes of (tower, token lists[, prefix]) groups: each
     group's (N, hidden) rows in order, right-padded per ENCODE_BATCH-row chunk,
     all chunks through one `_run_chunks`. A `memo` keeps groups without a prefix
-    under ("many", the tower's `tree_digest`, config, token sequences): a hit or
-    a repeat is not encoded again, and kept values are shared (write into none).
-    With no memo nothing is hashed or kept."""
+    under their `_memo_key`: a hit or a repeat is not encoded again, and kept
+    values are shared (write into none). With no memo nothing is hashed or kept."""
     out, digests, keys, pending, tasks, spans = [None] * len(groups), {}, {}, set(), [], []
     for g, (tree, toks, *prefix) in enumerate(groups):
         prefix = prefix[0] if prefix else None
         if memo is not None and prefix is None:
-            digest = digests.get(id(tree)) or digests.setdefault(id(tree), tree_digest(tree))
-            key = keys[g] = ("many", digest, config, tuple(map(tuple, toks)))
+            key = keys[g] = _memo_key("many", tree, config, toks, digests)
             if key in memo or key in pending:
                 continue                    # taken from the memo below
             pending.add(key)
@@ -470,8 +480,8 @@ def save_dual(model: DualEncoder, path) -> None:
 
 def load_dual(path) -> DualEncoder:
     """Read a `save_dual` checkpoint. A wrong format tag or version, a tensor
-    count, name or shape other than the config's, a duplicated tensor or
-    truncated data raises EncoderError naming `path`."""
+    count, name or shape other than the config's, a duplicated tensor,
+    truncated data or a NaN or inf value raises EncoderError naming `path`."""
     with open(path, encoding="ascii") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -516,5 +526,7 @@ def load_dual(path) -> DualEncoder:
         if arr.size != np.prod(shape):
             raise EncoderError(f"{where}: {fields[0]} holds {arr.size} values, "
                                f"its shape needs {int(np.prod(shape))}")
+        if not np.isfinite(arr).all():
+            raise EncoderError(f"{where}: {fields[0]} holds a NaN or inf")
         trees[section][pname] = arr.astype(dtype).reshape(shape)
     return DualEncoder(config, trees["query"], trees["text"], mode)

@@ -63,7 +63,10 @@ class PairCorpus:
                 by_pair[pid] = {}
                 label_of[pid] = lbl
                 order[lbl].append(pid)
-            by_pair[pid][lang] = (r["sentence1"], r["sentence2"])
+            pair = by_pair[pid][lang] = (r["sentence1"], r["sentence2"])
+            if not all(isinstance(t, str) and t.strip() for t in pair):
+                raise GridError(f"pair {pid!r}, language {lang!r}: sentences {list(pair)!r} "
+                                "must be non-blank strings")
         pairs = {lbl: [by_pair[pid] for pid in order[lbl]] for lbl in LABELS}
         return cls(languages, pairs)
 

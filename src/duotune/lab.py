@@ -92,8 +92,8 @@ def triplet_plan(model: DualEncoder, samples: Sequence[TripletSample], vocab: Vo
 
 
 def judgments_from_triplets(model: DualEncoder, samples: Sequence[TripletSample],
-                            vocab: Vocab, memo: Optional[dict] = None) -> List[QueryJudgments]:
-    return run_plans([triplet_plan(model, samples, vocab)], model.config, memo)[0]
+                            vocab: Vocab) -> List[QueryJudgments]:
+    return run_plans([triplet_plan(model, samples, vocab)], model.config)[0]
 
 
 def evaluate_triplets(model: DualEncoder, samples: Sequence[TripletSample],

@@ -285,24 +285,23 @@ def gelu(a: Tensor) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+def tsum(a: Tensor, axis=None) -> Tensor:
+    out = a.data.sum(axis=axis)
 
     def backward(g):
         g = np.asarray(g)
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         _accum(a, np.broadcast_to(g, a.data.shape).astype(a.dtype))
 
     return _make(out, (a,), backward)
 
 
-def _layer_norm(xhat: np.ndarray, inputs: tuple, weight: Tensor, bias: Tensor,
-                eps: float) -> Tensor:
+def _layer_norm(xhat: np.ndarray, inputs: tuple, weight: Tensor, bias: Tensor) -> Tensor:
     """LayerNorm of a fresh array holding the sum of the `inputs` (which all
     get its gradient), normalised in place into `xhat`."""
     xhat -= xhat.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
     xhat *= inv
     if not any(t.requires_grad for t in (*inputs, weight, bias)):
         xhat *= weight.data     # no backward reads xhat: finish in its buffer
@@ -327,16 +326,15 @@ def _layer_norm(xhat: np.ndarray, inputs: tuple, weight: Tensor, bias: Tensor,
     return _make(out, (*inputs, weight, bias), backward)
 
 
-def layer_norm(a: Tensor, weight: Tensor, bias: Tensor, eps: float = LAYER_NORM_EPS) -> Tensor:
-    return _layer_norm(a.data.copy(), (a,), weight, bias, eps)
+def layer_norm(a: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    return _layer_norm(a.data.copy(), (a,), weight, bias)
 
 
-def add_layer_norm(a: Tensor, b: Tensor, weight: Tensor, bias: Tensor,
-                   eps: float = LAYER_NORM_EPS) -> Tensor:
+def add_layer_norm(a: Tensor, b: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """LayerNorm(a + b) as one node: a residual add followed by LayerNorm."""
     if a.data.shape != b.data.shape:
         raise TensorError(f"add_layer_norm shape mismatch: {a.data.shape} + {b.data.shape}")
-    return _layer_norm(a.data + b.data, (a, b), weight, bias, eps)
+    return _layer_norm(a.data + b.data, (a, b), weight, bias)
 
 
 def l2_normalize(a: Tensor) -> Tensor:

@@ -25,7 +25,7 @@ import numpy as np
 from . import tensor as T
 from .data import TripletSample
 from .encoder import (DualEncoder, PrefixTable, Vocab, encode_batch, encode_groups,
-                      encode_prefix, frozen_stages, pad_batch, tree_digest, wrap_params)
+                      encode_prefix, frozen_stages, pad_batch, wrap_params)
 from .freeze import parse_freeze_spec, trainable_names
 from .optim import (FIXED, LossSpec, Optimizer, OptimizerSpec, SchedulerSpec,
                     scheduler_value, triplet_margin_loss)
@@ -171,8 +171,7 @@ def tune(model: DualEncoder, train: Sequence[TripletSample],
     """Tune `model` in place-free fashion; returns (best checkpoint, record).
 
     `validate_fn` defaults to the real validation pass; tests may inject a
-    stub to exercise the acceptance rule. `memo` keeps the prefix tables, by
-    content, as `encode_groups` keeps encodes.
+    stub to exercise the acceptance rule. `encode_prefix` keeps tables in `memo`.
     """
     if not valid and validate_fn is None:
         raise TuningError("validation set is empty")
@@ -192,18 +191,9 @@ def tune(model: DualEncoder, train: Sequence[TripletSample],
     valid_tok = _tokenize_triplets(valid, vocab, model.config.max_positions)
     seqs = {"query": [t[0] for t in train_tok + valid_tok],
             "text": [s for t in train_tok + valid_tok for s in t[1:]]}
-    prefixes = {}
-    for side, tree in towers.items():
-        stages = frozen_stages(trainable.get(side, ()), work.config)
-        if stages:      # hashed only with a memo; a deterministic build, so a hit has its bits
-            key = memo is not None and (("prefix", stages), tree_digest(tree), work.config,
-                                        tuple(map(tuple, seqs[side])))
-            if key and key in memo:
-                prefixes[side] = memo[key]
-            else:
-                prefixes[side] = encode_prefix(tree, seqs[side], work.config, stages)
-                if key:
-                    memo[key] = prefixes[side]
+    prefixes = {side: encode_prefix(tree, seqs[side], work.config, stages, memo)
+                for side, tree in towers.items()
+                if (stages := frozen_stages(trainable.get(side, ()), work.config))}
 
     if validate_fn is None:
         validate_fn = lambda m: validate(m, valid_tok, cfg.loss, prefixes)

@@ -10,10 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from duotune import cli, grid, lab
+from duotune import cli, data, grid, lab
 from duotune.cli import _tune_config_from_args, build_parser, main
 from duotune.data import ArxivRecord, NegativesEntry, read_triplets
-from duotune.encoder import load_dual, save_dual
+from duotune.encoder import EncoderConfig, load_dual, save_dual
 from duotune.tuning import TuneConfig
 
 
@@ -242,6 +242,25 @@ def test_tune_flag_defaults_are_tune_configs():
     args = build_parser().parse_args(["tune", "--model", "m", "--train", "t", "--valid", "v",
                                       "--vocab", "w", "--out", "o"])
     assert _tune_config_from_args(args) == TuneConfig()
+
+
+def test_gen_synth_and_init_model_flags_default_to_their_dataclasses(monkeypatch):
+    spec = data.SynthCorpusSpec(n_languages=3, vocab_size=90, n_topics=7, sentence_len=6,
+                                n_pretrain=11, n_tune=12, n_heldout=13, n_pairs_per_label=14,
+                                seed=5)
+    config = EncoderConfig(hidden=32, n_blocks=3, n_heads=2, max_positions=40)
+    monkeypatch.setattr(data, "SynthCorpusSpec", lambda: spec)     # the defaults, changed
+    monkeypatch.setattr(cli, "EncoderConfig", lambda: config)
+    parse = build_parser().parse_args
+    gen = vars(parse(["gen-synth", "--out", "o"]))
+    assert {f: gen[flag] for flag, f in [
+        ("seed", "seed"), ("languages", "n_languages"), ("vocab_size", "vocab_size"),
+        ("topics", "n_topics"), ("sentence_len", "sentence_len"), ("pretrain", "n_pretrain"),
+        ("tune", "n_tune"), ("heldout", "n_heldout"), ("pairs_per_label", "n_pairs_per_label"),
+    ]} == {f: v for f, v in dataclasses.asdict(spec).items() if f != "topic_purity"}
+    init = vars(parse(["init-model", "--vocab", "v", "--out", "o"]))
+    assert (init["hidden"], init["blocks"], init["heads"], init["max_positions"]) == \
+        (config.hidden, config.n_blocks, config.n_heads, config.max_positions)
 
 
 @pytest.mark.parametrize("line, named", [
@@ -742,10 +761,12 @@ def refused(case, workspace, tmp_path):
                             *(str(bad) if a == p["train"] else a for a in tune_args)],
                 "--input": ["split", "--input", str(bad)]}[case.split()[2]]
         return [*argv, "--out", str(out)], out
-    if case.startswith("text field"):
+    if case.startswith(("text field", "blank text")):
         flag, field = case.split()[2:]
         record = {"query": "w010", "pos": ["w011"], "neg": ["w012"]}
-        record[field] = {"pos": "w011 w012", "neg": ["w012", 3], "query": 7}[field]
+        record[field] = ({"pos": "w011 w012", "neg": ["w012", 3], "query": 7}
+                         if case.startswith("text") else
+                         {"pos": ["w011", " "], "neg": [""], "query": " \t"})[field]
         bad = tmp_path / "text_field.jsonl"
         bad.write_text(json.dumps(record) + "\n")
         argv = {"--data": ["eval", *model, "--vocab", p["vocab"], "--data", str(bad)],
@@ -769,6 +790,28 @@ def refused(case, workspace, tmp_path):
         if flag == "--negatives":
             return [*negatives, str(bad)], out
         return ["mine-arxiv", "--input", str(bad), "--out", str(out)], out
+    if case.startswith("pair sentence"):
+        cmd, value = case.split()[2:]
+        records = [json.loads(line) for line in Path(p["pairs"]).read_text().splitlines()]
+        records[1]["sentence2"] = {"blank": "  ", "number": 7}[value]
+        bad = tmp_path / "pair_field.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+        argv = {"grid-eval": ["grid-eval", *model, "--vocab", p["vocab"], "--out", str(out)],
+                "sweep": [*sweep_args, "--eval", f"h={p['evals']}"]}[cmd]
+        return [*argv, "--pairs", str(bad)], out
+    if case.startswith("non-finite"):
+        cmd, flag = case.split()[1:]
+        bad, ckpt = tmp_path / "nan.ckpt", load_dual(p["model"])
+        tree = ckpt.text_params if flag == "--after" else ckpt.query_params
+        tree["encoder.layer.0.output.dense.bias"][3] = np.inf if cmd == "tune" else np.nan
+        save_dual(ckpt, bad)
+        before, after = (bad, p["model"]) if flag == "--before" else (p["model"], bad)
+        argv = {"eval": ["eval", "--model", str(bad), "--vocab", p["vocab"], "--data", p["evals"]],
+                "grid-eval": ["grid-eval", "--model", str(bad), "--vocab", p["vocab"],
+                              "--pairs", p["pairs"]],
+                "tune": ["tune", "--model", str(bad), "--vocab", p["vocab"], *tune_args],
+                "diagnose": ["diagnose", "--before", str(before), "--after", str(after)]}[cmd]
+        return [*argv, "--out", str(out)], out
     if case == "diagnose across depths":
         deep = tmp_path / "deep.ckpt"
         assert main(["init-model", "--vocab", p["vocab"], "--out", str(deep), "--seed", "1",
@@ -818,6 +861,32 @@ def refused(case, workspace, tmp_path):
                                             "record a1", "categories 'cs.CL'"]),
     ("arxiv field --negatives neighbors", ["argument --negatives", "arxiv_field.jsonl",
                                            "record a1", "neighbors 'aaaaaaaaaaaaaaaaaaaaa'"]),
+    ("blank text --data query", ["argument --data", "text_field.jsonl",
+                                 "query ' \\t': query holds a blank text"]),
+    ("blank text --train pos", ["argument --train", "text_field.jsonl",
+                                "query 'w010': pos holds a blank text"]),
+    ("blank text --valid neg", ["argument --valid", "text_field.jsonl",
+                                "query 'w010': neg holds a blank text"]),
+    ("blank text --eval query", ["argument --eval", "text_field.jsonl",
+                                 "query ' \\t': query holds a blank text"]),
+    ("blank text --input pos", ["argument --input", "text_field.jsonl",
+                                "query 'w010': pos holds a blank text"]),
+    ("pair sentence grid-eval blank", ["argument --pairs", "pair_field.jsonl",
+                                       "pair 'p00000', language 'lang1'", "'  '"]),
+    ("pair sentence grid-eval number", ["argument --pairs", "pair_field.jsonl",
+                                        "pair 'p00000', language 'lang1'", ", 7]"]),
+    ("pair sentence sweep blank", ["argument --pairs", "pair_field.jsonl",
+                                   "pair 'p00000', language 'lang1'", "non-blank strings"]),
+    ("non-finite eval --model", ["argument --model", "nan.ckpt, line 20",
+                                 "query.encoder.layer.0.output.dense.bias holds a NaN or inf"]),
+    ("non-finite grid-eval --model", ["argument --model", "nan.ckpt, line 20",
+                                      "query.encoder.layer.0.output.dense.bias"]),
+    ("non-finite tune --model", ["argument --model", "nan.ckpt, line 20",
+                                 "query.encoder.layer.0.output.dense.bias"]),
+    ("non-finite diagnose --before", ["argument --before", "nan.ckpt, line 20",
+                                      "query.encoder.layer.0.output.dense.bias"]),
+    ("non-finite diagnose --after", ["argument --after", "nan.ckpt, line 57",
+                                     "text.encoder.layer.0.output.dense.bias"]),
 ])
 def test_refused_flag_values_are_usage_errors(workspace, tmp_path, capsys, case, named):
     argv, out = refused(case, workspace, tmp_path)

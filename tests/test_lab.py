@@ -299,11 +299,15 @@ def test_a_tower_changed_in_place_is_encoded_again(monkeypatch):
     model = DualEncoder.twin_init(CFG, T.Rng(3))
     samples, memo = mixed_triplets(6, seed=4), {}
     calls = count_encodes(monkeypatch, lab)
-    first = judgments_from_triplets(model, samples, VOCAB, memo)
-    judgments_from_triplets(model.copy(), samples, VOCAB, memo)
+
+    def judged(dual):
+        return lab.run_plans([lab.triplet_plan(dual, samples, VOCAB)], CFG, memo)[0]
+
+    first = judged(model)
+    judged(model.copy())
     assert sorted(calls) == [6, 12]                         # a copy is all hits
     model.query_params["encoder.layer.0.output.dense.bias"] += 0.5
-    again = judgments_from_triplets(model, samples, VOCAB, memo)
+    again = judged(model)
     assert calls[2:] == [6]                                 # the query tower only
     fresh = judgments_from_triplets(model, samples, VOCAB)
     assert all(np.array_equal(a.query, b.query) and np.array_equal(a.candidates, b.candidates)

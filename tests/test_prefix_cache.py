@@ -164,19 +164,21 @@ def test_a_memo_shares_prefix_tables_by_content(monkeypatch):
     train, valid = topic_triplets(20), topic_triplets(8, seed=1)
     cfg = small_config(freeze="emb, B0", max_epochs=2, idle_epochs_to_stop=3)
     plain, plain_rec = tune(model, train, valid, cfg, VOCAB)
-    built = []
-    real = tuning.encode_prefix
-    monkeypatch.setattr(tuning, "encode_prefix",
-                        lambda p, s, c, stages: built.append(stages) or real(p, s, c, stages))
+    # with both towers cached, only a table build runs a stage from the embeddings
+    (query_rows, query_spans), (text_rows, text_spans) = (
+        count_stages(monkeypatch, tree) for tree in (model.query_params, model.text_params))
     memo = {}
     for m in (model, model.copy()):
         tuned, record = tune(m, train, valid, cfg, VOCAB, memo=memo)
         assert record == plain_rec
         assert trees_equal(tuned.query_params, plain.query_params)
-    assert built == [2, CFG.n_blocks + 1]       # once per tower, the copy all hits
+    # one table per tower, each distinct sequence built once: the copy all hits
+    assert {s for s in query_spans if s[0] == 0} == {(0, 2)}
+    assert {s for s in text_spans if s[0] == 0} == {(0, CFG.n_blocks + 1)}
+    assert set(query_rows.values()) == set(text_rows.values()) == {1}
     model.text_params["encoder.layer.1.output.dense.bias"] += 0.5    # in place
     tune(model, train, valid, cfg, VOCAB, memo=memo)
-    assert built == [2, CFG.n_blocks + 1, CFG.n_blocks + 1]
+    assert set(query_rows.values()) == {1} and set(text_rows.values()) == {2}
 
 
 def test_query_only_steps_run_no_text_tower_stage(monkeypatch):
@@ -244,9 +246,10 @@ def test_no_cache_is_built_while_an_embedding_parameter_trains(monkeypatch, free
     built, prefixes = [], []
     real_prefix, real_batch = tuning.encode_prefix, tuning.encode_batch
 
-    def recording_prefix(params, token_lists, config, stages):
-        built.append((np.array_equal(params[WORD_EMB], model.query_params[WORD_EMB]), stages))
-        return real_prefix(params, token_lists, config, stages)
+    def recording_prefix(params, *args):     # no memo: each call builds its table
+        table = real_prefix(params, *args)
+        built.append((np.array_equal(params[WORD_EMB], model.query_params[WORD_EMB]), table[0]))
+        return table
 
     def recording(params, ids, config, **kw):
         if np.array_equal(params[WORD_EMB].data, model.query_params[WORD_EMB]):
