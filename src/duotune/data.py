@@ -151,6 +151,11 @@ class ArxivRecord:
     def __post_init__(self):
         if not self.id or not self.abstract or not self.categories:
             raise DataError("arxiv record needs id, abstract and categories")
+        if not (isinstance(self.abstract, str) and self.abstract.strip()):
+            raise DataError(f"record {self.id}: abstract {self.abstract!r} is blank or "
+                            "not a string")
+        if not isinstance(self.title, str):
+            raise DataError(f"record {self.id}: title {self.title!r} is not a string")
 
     def to_json(self) -> str:
         return json.dumps({"id": self.id, "title": self.title,
@@ -281,7 +286,7 @@ def split_sentences(text: str) -> List[Tuple[str, int, int]]:
 
 def make_arxiv_triplets(entries: Sequence[NegativesEntry], flavor: str,
                         difficulty: int) -> List[TripletSample]:
-    """flavor "title": (title, abstract, other abstract).
+    """flavor "title": (title, abstract, other abstract); none from a blank title.
     flavor "first": (first sentence, rest of abstract, other abstract minus
     its first sentence). difficulty 1 = hardest neighbor, 21 = random.
     """
@@ -296,7 +301,7 @@ def make_arxiv_triplets(entries: Sequence[NegativesEntry], flavor: str,
         if neg_rec is None:
             continue
         if flavor == "title":
-            if not e.record.title:
+            if not e.record.title.strip():
                 continue
             out.append(TripletSample(e.record.title, [e.record.abstract],
                                      [neg_rec.abstract]))

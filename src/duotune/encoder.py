@@ -480,8 +480,9 @@ def save_dual(model: DualEncoder, path) -> None:
 
 def load_dual(path) -> DualEncoder:
     """Read a `save_dual` checkpoint. A wrong format tag or version, a tensor
-    count, name or shape other than the config's, a duplicated tensor,
-    truncated data or a NaN or inf value raises EncoderError naming `path`."""
+    count, name or shape other than the config's, a dtype other than float32 or
+    float64, a duplicated tensor, truncated data or a NaN or inf value raises
+    EncoderError naming `path`."""
     with open(path, encoding="ascii") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -501,6 +502,8 @@ def load_dual(path) -> DualEncoder:
         mode = header["mode"]
     except (KeyError, TypeError) as e:
         raise EncoderError(f"{path}: bad checkpoint header field {e}") from e
+    if dtype not in (np.float32, np.float64):
+        raise EncoderError(f"{path}: checkpoint dtype {dtype.name}, expected float32 or float64")
     shapes = param_shapes(config)
     trees: dict[str, ParamTree] = {"query": {}, "text": {}}
     if len(lines) - 1 != len(trees) * len(shapes):

@@ -116,14 +116,18 @@ class Tape:
     def leaf(self, data: np.ndarray, param: bool = False) -> Tensor:
         return Tensor(np.asarray(data), self, requires_grad=param)
 
-    def backward(self, out: Tensor) -> None:
-        if out.data.size != 1:
-            raise TensorError("backward expects a scalar output")
+    def backward(self, out: Tensor, grad: Optional[np.ndarray] = None) -> None:
+        """Gradients of `out`, seeded with `grad` (of `out`'s shape; ones for a scalar)."""
+        if grad is None and out.data.size != 1:
+            raise TensorError("backward expects a scalar output or a seed gradient")
+        if grad is not None and np.shape(grad) != out.data.shape:
+            raise TensorError(f"seed gradient of shape {np.shape(grad)} for an output "
+                              f"of shape {out.data.shape}")
         for n in self.nodes:
             n.grad = None
         if not out.requires_grad:
             return              # constant output: every parameter gradient is zero
-        out.grad = np.ones_like(out.data)
+        out.grad = np.ones_like(out.data) if grad is None else grad
         for node in reversed(self.nodes):
             if node.grad is None or node._backward is None:
                 continue

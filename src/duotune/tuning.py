@@ -13,6 +13,13 @@ distinct sequence the tower reads (see `encode_prefix`), and steps and
 validation run only the later stages. A tower where nothing trains (the
 text tower in query-only mode) is thus encoded once per call, and each
 step only pools its rows.
+
+The towers share no array until the loss, so each trained tower's forward,
+and then its backward and optimizer update, is one task of `_run_chunks`
+(one per core, up to 2); the loss runs on the caller and seeds each tower's
+backward. A tower where nothing trains runs on the caller, so a query-only
+step starts no thread. Each tower runs the same ops in the same order either
+way, so the bits do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -24,8 +31,8 @@ import numpy as np
 
 from . import tensor as T
 from .data import TripletSample
-from .encoder import (DualEncoder, PrefixTable, Vocab, encode_batch, encode_groups,
-                      encode_prefix, frozen_stages, pad_batch, wrap_params)
+from .encoder import (DualEncoder, PrefixTable, Vocab, _run_chunks, encode_batch,
+                      encode_groups, encode_prefix, frozen_stages, pad_batch, wrap_params)
 from .freeze import parse_freeze_spec, trainable_names
 from .optim import (FIXED, LossSpec, Optimizer, OptimizerSpec, SchedulerSpec,
                     scheduler_value, triplet_margin_loss)
@@ -198,7 +205,7 @@ def tune(model: DualEncoder, train: Sequence[TripletSample],
     if validate_fn is None:
         validate_fn = lambda m: validate(m, valid_tok, cfg.loss, prefixes)
 
-    optimizer = Optimizer(cfg.optimizer)
+    optimizers = {side: Optimizer(cfg.optimizer) for side in trained}     # each counts every step
     rng = T.Rng(cfg.seed).spawn(1)
 
     init_loss, init_errors = validate_fn(work)
@@ -212,26 +219,34 @@ def tune(model: DualEncoder, train: Sequence[TripletSample],
         order = _epoch_index_stream(len(train_tok), cfg.batches_per_epoch * cfg.batch_size, rng)
         for b in range(cfg.batches_per_epoch):
             batch = [train_tok[i] for i in order[b * cfg.batch_size:(b + 1) * cfg.batch_size]]
-            tape = T.Tape()
-            leaves = {side: wrap_params(tape, tree, trainable.get(side, ()))
-                      for side, tree in towers.items()}
-            anchors = encode_batch(leaves["query"], pad_batch([t[0] for t in batch]),
-                                   work.config, prefix=prefixes.get("query"))
-            texts = encode_batch(leaves["text"],
-                                 pad_batch([t[1] for t in batch] + [t[2] for t in batch]),
-                                 work.config, prefix=prefixes.get("text"))
             n = len(batch)
-            pos = T.slice_rows(texts, 0, n)
-            neg = T.slice_rows(texts, n, 2 * n)
-            loss = triplet_margin_loss(anchors, pos, neg, cfg.loss)
+            ids = {"query": pad_batch([t[0] for t in batch]),
+                   "text": pad_batch([t[1] for t in batch] + [t[2] for t in batch])}
+            tapes = {side: T.Tape() for side in towers}
+            leaves = {side: wrap_params(tapes[side], tree, trainable.get(side, ()))
+                      for side, tree in towers.items()}
+            forward = lambda side: encode_batch(leaves[side], ids[side], work.config,
+                                                prefix=prefixes.get(side))
+            outs = dict(zip(trained, _run_chunks([lambda s=side: forward(s) for side in trained])))
+            outs.update((side, forward(side)) for side in towers if side not in outs)
+            head = T.Tape()     # the loss, on leaves holding the towers' outputs
+            anchors, texts = (head.leaf(outs[side].data, param=side in trainable)
+                              for side in ("query", "text"))
+            loss = triplet_margin_loss(anchors, T.slice_rows(texts, 0, n),
+                                       T.slice_rows(texts, n, 2 * n), cfg.loss)
             if not np.isfinite(loss.item()):
                 raise TuningError(f"non-finite loss at epoch {epoch}, batch {b}")
-            tape.backward(loss)
+            head.backward(loss)
+            seeds = {"query": anchors.grad, "text": texts.grad}
+            lr = scheduler_value(cfg.scheduler, step)
 
-            grads = {f"{side}.{n}": leaves[side][n].grad
-                     for side, names in trainable.items() for n in names
-                     if leaves[side][n].grad is not None}
-            optimizer.step(params, grads, lr=scheduler_value(cfg.scheduler, step))
+            def update(side):
+                tapes[side].backward(outs[side], seeds[side])
+                optimizers[side].step(params, {f"{side}.{name}": leaves[side][name].grad
+                                               for name in trainable[side]
+                                               if leaves[side][name].grad is not None}, lr=lr)
+
+            _run_chunks([lambda s=side: update(s) for side in trained])
             step += 1
 
         val_loss, val_errors = validate_fn(work)

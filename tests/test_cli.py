@@ -783,6 +783,8 @@ def refused(case, workspace, tmp_path):
         entry = {"record": record, "neighbors": ["a2"] * 21}
         if field == "categories":
             record["categories"] = "cs.CL"
+        elif field in ("abstract", "title"):
+            record[field] = {"abstract": " \n ", "title": 7}[field]
         else:
             entry["neighbors"] = "a" * 21
         bad = tmp_path / "arxiv_field.jsonl"
@@ -799,12 +801,18 @@ def refused(case, workspace, tmp_path):
         argv = {"grid-eval": ["grid-eval", *model, "--vocab", p["vocab"], "--out", str(out)],
                 "sweep": [*sweep_args, "--eval", f"h={p['evals']}"]}[cmd]
         return [*argv, "--pairs", str(bad)], out
-    if case.startswith("non-finite"):
+    if case.startswith(("non-finite", "int32")):
         cmd, flag = case.split()[1:]
-        bad, ckpt = tmp_path / "nan.ckpt", load_dual(p["model"])
-        tree = ckpt.text_params if flag == "--after" else ckpt.query_params
-        tree["encoder.layer.0.output.dense.bias"][3] = np.inf if cmd == "tune" else np.nan
-        save_dual(ckpt, bad)
+        if case.startswith("int32"):        # the model's float32 bytes, read as int32
+            bad = tmp_path / "int32.ckpt"
+            header, *lines = Path(p["model"]).read_text().splitlines(keepends=True)
+            header = json.dumps(json.loads(header) | {"dtype": "int32"}, sort_keys=True)
+            bad.write_text(header + "\n" + "".join(lines))
+        else:
+            bad, ckpt = tmp_path / "nan.ckpt", load_dual(p["model"])
+            tree = ckpt.text_params if flag == "--after" else ckpt.query_params
+            tree["encoder.layer.0.output.dense.bias"][3] = np.inf if cmd == "tune" else np.nan
+            save_dual(ckpt, bad)
         before, after = (bad, p["model"]) if flag == "--before" else (p["model"], bad)
         argv = {"eval": ["eval", "--model", str(bad), "--vocab", p["vocab"], "--data", p["evals"]],
                 "grid-eval": ["grid-eval", "--model", str(bad), "--vocab", p["vocab"],
@@ -887,6 +895,18 @@ def refused(case, workspace, tmp_path):
                                       "query.encoder.layer.0.output.dense.bias"]),
     ("non-finite diagnose --after", ["argument --after", "nan.ckpt, line 57",
                                      "text.encoder.layer.0.output.dense.bias"]),
+    ("int32 eval --model", ["argument --model", "int32.ckpt: checkpoint dtype int32, "
+                            "expected float32 or float64"]),
+    ("int32 grid-eval --model", ["argument --model", "int32.ckpt: checkpoint dtype int32"]),
+    ("int32 tune --model", ["argument --model", "int32.ckpt: checkpoint dtype int32"]),
+    ("int32 diagnose --before", ["argument --before", "int32.ckpt: checkpoint dtype int32"]),
+    ("int32 diagnose --after", ["argument --after", "int32.ckpt: checkpoint dtype int32"]),
+    ("arxiv field --input abstract", ["argument --input", "arxiv_field.jsonl",
+                                      "record a1: abstract ' \\n ' is blank or not a string"]),
+    ("arxiv field --negatives abstract", ["argument --negatives", "arxiv_field.jsonl",
+                                          "record a1: abstract ' \\n ' is blank"]),
+    ("arxiv field --negatives title", ["argument --negatives", "arxiv_field.jsonl",
+                                       "record a1: title 7 is not a string"]),
 ])
 def test_refused_flag_values_are_usage_errors(workspace, tmp_path, capsys, case, named):
     argv, out = refused(case, workspace, tmp_path)

@@ -3,6 +3,7 @@ miner, and the synthetic cipher-language corpus."""
 
 import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -218,6 +219,22 @@ def test_title_flavor_triplets():
     assert out[0].query == "paper title"
     assert out[0].positives == [e0.record.abstract]
     assert out[0].negatives == [e1.record.abstract]
+
+
+def test_title_flavor_skips_blank_titles():
+    e0 = abstracts_entry(0, "id001", ["First zero.", "Second zero."], title=" \t ")
+    e1 = abstracts_entry(1, "id000", ["First one.", "Second one."], title="kept")
+    out = make_arxiv_triplets([e0, e1], "title", difficulty=1)
+    assert [t.query for t in out] == ["kept"]
+
+
+def test_an_arxiv_record_refuses_a_blank_abstract_and_a_non_string_title():
+    for abstract in (" \n ", 7):
+        message = f"record id007: abstract {abstract!r} is blank or not a string"
+        with pytest.raises(DataError, match=re.escape(message)):
+            rec(7, ["a.x"], abstract)
+    with pytest.raises(DataError, match="record id007: title 7 is not a string"):
+        rec(7, ["a.x"], "text", title=7)
 
 
 def test_first_flavor_splits_off_the_first_sentence():

@@ -397,6 +397,17 @@ def test_checkpoint_rejects_a_shape_other_than_the_config(tiny_model, tmp_path):
     _rejected(_corrupt(tiny_model, tmp_path, edit))
 
 
+@pytest.mark.parametrize("dtype", ["int32", "float16", "complex64"])
+def test_checkpoint_rejects_a_dtype_other_than_float32_or_float64(tiny_model, tmp_path, dtype):
+    def edit(lines):
+        lines[0] = lines[0].replace('"dtype": "float32"', f'"dtype": "{dtype}"')
+        return lines
+    path = _corrupt(tiny_model, tmp_path, edit)
+    with pytest.raises(EncoderError, match=f"{re.escape(str(path))}: checkpoint dtype {dtype}, "
+                                           "expected float32 or float64"):
+        load_dual(path)
+
+
 def test_checkpoint_rejects_an_unknown_version(tiny_model, tmp_path):
     def edit(lines):
         header = json.loads(lines[0])

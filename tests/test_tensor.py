@@ -285,3 +285,33 @@ def test_a_node_holds_its_tape_weakly():
         assert w.tape is None and out.tape is None
     finally:
         gc.enable()
+
+
+def test_a_seeded_backward_gives_the_scalar_paths_gradients():
+    """A tower's backward seeded with its output's gradient from a separate loss
+    tape (as a tuning step runs it) equals one backward through the whole graph."""
+    rng = np.random.default_rng(0)
+    x, w, b = (rng.normal(size=s).astype(np.float32) for s in ((6, 5), (4, 5), (4,)))
+
+    def tower(tape):
+        weight = tape.leaf(w, param=True)
+        return weight, T.l2_normalize(T.gelu(T.linear(tape.leaf(x), weight, tape.leaf(b))))
+
+    def loss(y):
+        return T.triplet_margin_loss(T.slice_rows(y, 0, 2), T.slice_rows(y, 2, 4),
+                                     T.slice_rows(y, 4, 6), 0.5)
+
+    tape = T.Tape()
+    weight, y = tower(tape)
+    tape.backward(loss(y))
+    want = weight.grad
+
+    tape, head = T.Tape(), T.Tape()
+    weight, y = tower(tape)
+    out = head.leaf(y.data, param=True)
+    head.backward(loss(out))
+    tape.backward(y, out.grad)
+    assert weight.grad.dtype == want.dtype == np.float32
+    assert np.array_equal(weight.grad, want) and np.abs(want).max() > 0
+    with pytest.raises(T.TensorError, match=r"seed gradient of shape \(6,\)"):
+        tape.backward(y, np.ones(6, dtype=np.float32))

@@ -1,14 +1,17 @@
 """Tuning loop: acceptance rule, stopping, freeze contract, determinism."""
 
+import sys
+import threading
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from duotune import encoder, tuning
 from duotune import tensor as T
 from duotune.data import TripletSample
 from duotune.encoder import DualEncoder, EncoderConfig, Vocab, trees_equal
-from duotune.optim import LossSpec, OptimError, OptimizerSpec, SchedulerSpec
+from duotune.optim import LossSpec, OptimError, Optimizer, OptimizerSpec, SchedulerSpec
 from duotune.tuning import (RunRecord, TuneConfig, TuningError, tune, validate,
                             validate_samples, _tokenize_triplets)
 
@@ -278,3 +281,102 @@ def test_query_only_block_prefix_freeze_keeps_the_frozen_query_blocks():
                                   ("embeddings.", "encoder.layer.0.", "encoder.layer.1."),
                                   "encoder.layer.2.")
     assert trees_equal(best.text_params, model.text_params)
+
+
+# --- steps on two threads ---------------------------------------------------------
+
+CFG3 = EncoderConfig(vocab_size=32, hidden=16, n_blocks=3, n_heads=2,
+                     intermediate=32, max_positions=16)
+
+
+def _both_tuned(**kw):
+    cfg = small_config(mode="both-tuned", max_epochs=2, idle_epochs_to_stop=2,
+                       optimizer=OptimizerSpec(kind="adamw", lr=1e-2), **kw)
+    model = DualEncoder.twin_init(CFG3, T.Rng(0), mode="both-tuned")
+    return model, lambda: tune(model, topic_triplets(40, seed=4), topic_triplets(12, seed=5),
+                               cfg, VOCAB)
+
+
+def _validated(monkeypatch):
+    """Copies of the models that `tune` validates from now on, in order."""
+    real, seen = tuning.validate, []
+    monkeypatch.setattr(tuning, "validate", lambda m, *a: seen.append(m.copy()) or real(m, *a))
+    return seen
+
+
+@pytest.mark.parametrize("kw", [dict(freeze="-"), dict(freeze="emb, B0-1"),
+                                dict(scheduler=SchedulerSpec("L", total_steps=6))],
+                         ids=["-", "emb, B0-1", "L"])
+def test_both_tuned_steps_on_two_threads_give_the_serial_bits(monkeypatch, kw):
+    model, run = _both_tuned(**kw)
+    validated = _validated(monkeypatch)
+    monkeypatch.setattr(encoder, "_workers", lambda: 1)
+    serial = run()
+    # the first step's two forwards must meet, so each tower runs on its own thread
+    real, meet, threads = tuning.encode_batch, threading.Barrier(2, timeout=10), []
+
+    def forward(*args, **kwargs):
+        threads.append(threading.current_thread())
+        if len(threads) <= 2:
+            meet.wait()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(encoder, "_workers", lambda: 2)
+    monkeypatch.setattr(tuning, "encode_batch", forward)
+    threaded = run()
+    assert len(set(threads[:2])) == 2 and len(threads) == 2 * threaded[1].total_steps
+    assert threaded[1] == serial[1] and len(validated) == 2 * 3
+    for side in ("query_params", "text_params"):
+        assert trees_equal(getattr(threaded[0], side), getattr(serial[0], side))
+        for a, b in zip(validated[:3], validated[3:], strict=True):
+            assert trees_equal(getattr(a, side), getattr(b, side))
+        assert not trees_equal(getattr(validated[-1], side), getattr(model, side))
+
+
+def test_both_tuned_steps_keep_their_bits_under_frequent_thread_switches(monkeypatch):
+    _, run = _both_tuned(freeze="-")
+    validated = _validated(monkeypatch)
+    monkeypatch.setattr(encoder, "_workers", lambda: 1)
+    want, serial = run()[1], list(validated)
+    monkeypatch.setattr(encoder, "_workers", lambda: 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            validated.clear()
+            assert run()[1] == want
+            for a, b in zip(validated, serial, strict=True):
+                assert trees_equal(a.query_params, b.query_params)
+                assert trees_equal(a.text_params, b.text_params)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("poisoned", [("query",), ("text",), ("query", "text")])
+def test_a_non_finite_gradient_in_either_tower_raises_the_serial_message(monkeypatch,
+                                                                        poisoned):
+    real = Optimizer.step
+
+    def step(self, params, grads, lr=None):
+        real(self, params, {k: g * np.nan if k.split(".")[0] in poisoned else g
+                            for k, g in grads.items()}, lr)
+
+    monkeypatch.setattr(Optimizer, "step", step)
+    model, run = _both_tuned(freeze="-")
+    first = next(iter(model.query_params))
+    for workers in (1, 2):
+        monkeypatch.setattr(encoder, "_workers", lambda: workers)
+        with pytest.raises(OptimError) as err:
+            run()
+        assert str(err.value) == f"non-finite gradient for {poisoned[0]}.{first}"
+
+
+def test_a_query_only_step_starts_no_thread(monkeypatch):
+    real, sizes = tuning._run_chunks, []
+    monkeypatch.setattr(encoder, "_workers", lambda: 2)
+    monkeypatch.setattr(tuning, "_run_chunks", lambda tasks: sizes.append(len(tasks))
+                        or real(tasks))
+    model = DualEncoder.twin_init(CFG, T.Rng(0))
+    _, record = tune(model, topic_triplets(20), topic_triplets(8, seed=1),
+                     small_config(max_epochs=2, idle_epochs_to_stop=2), VOCAB)
+    assert record.total_steps == 6 and sizes == [1] * 2 * record.total_steps
