@@ -21,32 +21,45 @@ from pathlib import Path
 
 from . import data as D
 from . import lab
-from .encoder import (MEASURES, DualEncoder, EncoderConfig, EncoderError, Vocab, load_dual,
-                      save_dual)
-from .freeze import parse_freeze_spec
+from .encoder import MEASURES, DualEncoder, EncoderConfig, Vocab, load_dual, save_dual
+from .freeze import FreezeSpecError, parse_freeze_spec
 from .grid import CONTRAST_LABELS, PairCorpus, grid_reports
 from .optim import LossSpec, OptimError, OptimizerSpec, parse_scheduler, scale_lr
 from .tensor import Rng
-from .tuning import TuneConfig, TuningError, tune
+from .tuning import EpochRecord, RunRecord, TuneConfig, TuningError, tune
+
+TUNE_INPUTS = ("model", "train", "valid", "vocab")
+# an unreadable file, a lab error (each is a ValueError), a missing key, a wrong type
+REFUSALS = (OSError, ValueError, KeyError, TypeError)
 
 
-def _apply_config(path, flags, error) -> None:
+def _checked(flag: str, call, *args, refuse=REFUSALS, **kwargs):
+    """call(*args, **kwargs) at the boundary. One of `refuse` it raises is a
+    usage error naming `flag`, which `main` turns into exit status 2."""
+    try:
+        return call(*args, **kwargs)
+    except refuse as e:
+        raise argparse.ArgumentError(None, f"argument {flag}: {type(e).__name__}: {e}") from None
+
+
+def _apply_config(path, flags) -> None:
     """Make the [tune] section of an INI file the tune flags' defaults. A key
     must be the dest of a value-taking tune flag, and a value one of that
     flag's choices; argparse converts the rest with the flag's own type."""
-    cp = configparser.ConfigParser()
-    try:
+    def items(path):
+        cp = configparser.ConfigParser()
         with open(path, encoding="utf-8") as fh:
             cp.read_file(fh)
-        items = cp.items("tune") if cp.has_section("tune") else []
-    except (OSError, UnicodeDecodeError, configparser.Error) as e:
-        error(f"argument --config: {path}: {type(e).__name__}: {e}")
-    for key, raw in items:
+        return cp.items("tune") if cp.has_section("tune") else []
+    for key, raw in _checked(f"--config: {path}", items, path,
+                             refuse=(*REFUSALS, configparser.Error)):
         flag = flags.get(key)
         if flag is None:
-            error(f"{path}: [tune] has unknown key {key!r}")
+            raise argparse.ArgumentError(None, f"argument --config: {path}: "
+                                         f"[tune] has unknown key {key!r}")
         if flag.choices and raw not in flag.choices:
-            error(f"{path}: [tune] {key} = {raw!r} is not one of {', '.join(flag.choices)}")
+            raise argparse.ArgumentError(flag, f"{path}: [tune] {key} = {raw!r} is not one "
+                                         f"of {', '.join(flag.choices)}")
         flag.default = raw
 
 
@@ -94,11 +107,7 @@ def _scheduler(args, text: str):
 def _read(flag: str, path, load):
     """load(path). A file that `load` cannot read, or that holds no records, is
     a usage error naming `flag` and `path`."""
-    try:
-        records = load(path)
-    except (OSError, ValueError, KeyError, TypeError) as e:
-        raise argparse.ArgumentError(
-            None, f"argument {flag}: {path}: {type(e).__name__}: {e}") from None
+    records = _checked(f"{flag}: {path}", load, path)
     if not records:
         raise argparse.ArgumentError(None, f"argument {flag}: {path} holds no records")
     return records
@@ -127,15 +136,12 @@ def _measures(arg: str):
 # --- subcommand implementations ----------------------------------------------
 
 def cmd_gen_synth(args) -> int:
-    try:
-        spec = D.SynthCorpusSpec(
-            n_languages=args.languages, vocab_size=args.vocab_size,
-            n_topics=args.topics, sentence_len=args.sentence_len,
-            n_pretrain=args.pretrain, n_tune=args.tune, n_heldout=args.heldout,
-            n_pairs_per_label=args.pairs_per_label, seed=args.seed)
-    except D.DataError as e:    # the flag types leave only the vocab/topics check
-        raise argparse.ArgumentError(
-            None, f"--vocab-size {args.vocab_size} with --topics {args.topics}: {e}") from None
+    # the flag types leave only the vocab/topics check
+    spec = _checked(f"--vocab-size {args.vocab_size} with --topics {args.topics}",
+                    D.SynthCorpusSpec, n_languages=args.languages, vocab_size=args.vocab_size,
+                    n_topics=args.topics, sentence_len=args.sentence_len,
+                    n_pretrain=args.pretrain, n_tune=args.tune, n_heldout=args.heldout,
+                    n_pairs_per_label=args.pairs_per_label, seed=args.seed)
     corpus = D.gen_synth_corpus(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -154,14 +160,11 @@ def cmd_gen_synth(args) -> int:
 
 def cmd_init_model(args) -> int:
     vocab = _read("--vocab", args.vocab, Vocab.load)
-    try:
-        config = EncoderConfig(vocab_size=len(vocab), hidden=args.hidden,
-                               n_blocks=args.blocks, n_heads=args.heads,
-                               intermediate=4 * args.hidden,
-                               max_positions=args.max_positions)
-    except EncoderError as e:   # the flag types leave only the hidden/heads check
-        raise argparse.ArgumentError(
-            None, f"--hidden {args.hidden} with --heads {args.heads}: {e}") from None
+    # the flag types leave only the hidden/heads check
+    config = _checked(f"--hidden {args.hidden} with --heads {args.heads}", EncoderConfig,
+                      vocab_size=len(vocab), hidden=args.hidden, n_blocks=args.blocks,
+                      n_heads=args.heads, intermediate=4 * args.hidden,
+                      max_positions=args.max_positions)
     model = DualEncoder.twin_init(config, Rng(args.seed))
     save_dual(model, args.out)
     print(f"initialized twin dual encoder at {args.out}")
@@ -226,13 +229,15 @@ def _tune_config_from_args(args) -> TuneConfig:
         raise argparse.ArgumentError(args.tune_flags["epoch_size"], str(e)) from None
 
 
-def _run_tune(paths: dict, cfg: TuneConfig, out_dir: Path) -> None:
-    """Tune the model of `paths` (keys model, train, valid, vocab) and write
-    its checkpoint, run record and a manifest of `paths` and their digests."""
+def _run_tune(paths: dict, cfg: TuneConfig, out_dir: Path, freeze_flag: str) -> None:
+    """Tune the model of `paths` (keys TUNE_INPUTS) and write its checkpoint,
+    run record and a manifest of `paths` and their digests. A freeze spec the
+    model cannot take, refused before the first step, names `freeze_flag`."""
     model, vocab = _read_model_and_vocab(paths["model"], paths["vocab"])
     train = _read("--train", paths["train"], D.read_triplets)
     valid = _read("--valid", paths["valid"], D.read_triplets)
-    best, record = tune(model, train, valid, cfg, vocab)
+    best, record = _checked(freeze_flag, tune, model, train, valid, cfg, vocab,
+                            refuse=(FreezeSpecError,))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     save_dual(best, out_dir / "model.ckpt")
@@ -246,28 +251,29 @@ def _run_tune(paths: dict, cfg: TuneConfig, out_dir: Path) -> None:
 
 def cmd_tune(args) -> int:
     cfg = _tune_config_from_args(args)
-    _run_tune({k: getattr(args, k) for k in ("model", "train", "valid", "vocab")}, cfg,
-              Path(args.out))
+    _run_tune({k: getattr(args, k) for k in TUNE_INPUTS}, cfg, Path(args.out), "--freeze")
     print(f"tuned model written to {args.out}")
     return 0
 
 
 def cmd_replay(args) -> int:
     def load(path):
+        """The manifest's tune inputs, each unchanged since the run, and its TuneConfig."""
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        return doc["command"], doc["config"]["paths"], doc["config"]["tune"], doc["input_digests"]
-    command, paths, tune_dict, digests = _read("--manifest", args.manifest, load)
-    if command != "tune":
-        raise SystemExit("only tune manifests can be replayed")
-    for key, digest in digests.items():
-        actual = _read(f"--manifest input {key}", paths[key], lab.file_digest)
-        if actual != digest:
-            raise SystemExit(f"input {key} changed since the original run")
-    try:
-        cfg = TuneConfig.from_dict(tune_dict)
-    except (TuningError, ValueError) as e:
-        raise SystemExit(f"{args.manifest}: {e}") from None
-    _run_tune(paths, cfg, Path(args.out))
+        if doc["command"] != "tune":
+            raise ValueError(f"command {doc['command']!r}: only tune manifests can be replayed")
+        config, digests = doc["config"], doc["input_digests"]
+        paths = {k: str(config["paths"][k]) for k in TUNE_INPUTS}
+        if sorted(digests) != sorted(paths):
+            raise ValueError(f"input_digests must give one digest for each of {', '.join(paths)}")
+        cfg = TuneConfig.from_dict(config["tune"])
+        for key, p in paths.items():
+            if _read(f"--manifest input {key}", p, lab.file_digest) != digests[key]:
+                raise argparse.ArgumentError(
+                    None, f"argument --manifest input {key}: {p} changed since the original run")
+        return paths, cfg
+    paths, cfg = _read("--manifest", args.manifest, load)
+    _run_tune(paths, cfg, Path(args.out), "--manifest")
     print(f"replayed run into {args.out}")
     return 0
 
@@ -335,7 +341,8 @@ def cmd_sweep(args) -> int:
     spec = lab.SweepSpec(axis=args.axis, values=values, base=base,
                          eval_sets=eval_sets, grid_corpus=grid_corpus,
                          ztest_variant=args.ztest_variant)
-    report = lab.run_sweep(model, train, valid, vocab, spec)
+    report = _checked("--values" if args.axis == "freeze" else "--freeze", lab.run_sweep,
+                      model, train, valid, vocab, spec, refuse=(FreezeSpecError,))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write(out / "sweep.csv", lab.sweep_csv(report))
@@ -353,11 +360,8 @@ def cmd_sweep(args) -> int:
 def cmd_diagnose(args) -> int:
     before = _read("--before", args.before, load_dual)
     after = _read("--after", args.after, load_dual)
-    try:
-        report = lab.diagnose_layers(before.query_params, after.query_params)
-    except lab.LabError as e:
-        raise argparse.ArgumentError(
-            None, f"--before {args.before} and --after {args.after}: {e}") from None
+    report = _checked(f"--before {args.before} and --after {args.after}", lab.diagnose_layers,
+                      before.query_params, after.query_params)
     csv = lab.csv_text(
         ["name", "w_before", "w_after", "changed", "max_abs_after", "relative_shift"],
         ([l.name, f"{l.w_before:.12g}", f"{l.w_after:.12g}", int(l.changed),
@@ -376,17 +380,17 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_report(args) -> int:
-    record = _read("--run", Path(args.run) / "run.json",
-                   lambda path: json.loads(path.read_text(encoding="utf-8")))
-    accepted = [e for e in record["epochs"] if e["accepted"]]
-    print(f"epochs: {len(record['epochs'])}, accepted: {len(accepted)}, "
-          f"best epoch: {record['best_epoch']}, steps: {record['total_steps']}")
-    print(f"initial loss {record['initial_loss']:.6g}, "
-          f"errors {record['initial_errors']}")
+    def load(path):
+        record = json.loads(path.read_text(encoding="utf-8"))
+        return RunRecord(**{**record, "epochs": [EpochRecord(**e) for e in record["epochs"]]})
+    record = _read("--run", Path(args.run) / "run.json", load)
+    accepted = [e for e in record.epochs if e.accepted]
+    print(f"epochs: {len(record.epochs)}, accepted: {len(accepted)}, "
+          f"best epoch: {record.best_epoch}, steps: {record.total_steps}")
+    print(f"initial loss {record.initial_loss:.6g}, errors {record.initial_errors}")
     if accepted:
-        last = accepted[-1]
-        print(f"best loss {last['val_loss']:.6g}, errors {last['val_errors']}")
-    print(f"stop reason: {record['stop_reason']}")
+        print(f"best loss {accepted[-1].val_loss:.6g}, errors {accepted[-1].val_errors}")
+    print(f"stop reason: {record.stop_reason}")
     return 0
 
 
@@ -541,12 +545,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        _apply_config(args.config, args.tune_flags, parser.error)
-        args = parser.parse_args(argv)   # with the file's defaults; flags given win
     try:
+        if getattr(args, "config", None):
+            _apply_config(args.config, args.tune_flags)
+            args = parser.parse_args(argv)   # with the file's defaults; flags given win
         return args.func(args)
-    except argparse.ArgumentError as e:     # a sweep value, or a flag checked with another
+    except argparse.ArgumentError as e:     # every refused input
         parser.error(str(e))
 
 

@@ -41,9 +41,6 @@ class FreezeToken:
 class FreezeSpec:
     tokens: Tuple[FreezeToken, ...]
 
-    def canonical(self) -> str:
-        return ", ".join(t.text for t in self.tokens) or "-"
-
 
 _NAMED = {
     "-": (),
@@ -111,15 +108,17 @@ def parse_freeze_spec(text: str) -> FreezeSpec:
 
 def resolve(spec: FreezeSpec, param_names: Iterable[str]) -> Set[str]:
     """The frozen name set: every name that one of the spec's patterns
-    matches. A pattern that matches no name raises FreezeSpecError."""
+    matches. A pattern that matches no name raises FreezeSpecError, naming
+    the block the model lacks when the pattern is one of a block's."""
     names = list(param_names)
     frozen: Set[str] = set()
     for tok in spec.tokens:
         for pattern in tok.patterns:
             matched = [n for n in names if re.match(pattern, n)]
             if not matched:
-                raise FreezeSpecError(f"{tok.text!r} freezes nothing: no parameter "
-                                      f"name matches {pattern}")
+                block = re.match(r"encoder\\\.layer\\\.(\d+)", pattern)
+                lacks = f"block {block[1]}" if block else f"parameter name matching {pattern}"
+                raise FreezeSpecError(f"{tok.text!r}: the model has no {lacks}")
             frozen.update(matched)
     return frozen
 

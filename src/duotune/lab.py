@@ -169,11 +169,8 @@ def run_sweep(model: DualEncoder, train: Sequence[TripletSample],
     """One tune+eval per swept value against the same starting model."""
     configs = [apply_axis_value(spec.base, spec.axis, v) for v in spec.values]
     memo: dict = {}     # every encode and prefix table of this call, kept by content
-    for cfg in configs:   # a bad freeze spec fails before any point is tuned
-        frozen = freeze.parse_freeze_spec(cfg.freeze)
-        trained = [model.query_params] + ([model.text_params] if cfg.mode == "both-tuned" else [])
-        for tree in trained:
-            freeze.resolve(frozen, tree)
+    for cfg in configs:   # a bad spec fails before any point is tuned; the towers share names
+        freeze.resolve(freeze.parse_freeze_spec(cfg.freeze), model.query_params)
 
     def evaluate(dual: DualEncoder):
         """Every eval set's reports and, with a grid corpus, each measure's grid,

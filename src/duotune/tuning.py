@@ -38,7 +38,7 @@ from .optim import (FIXED, LossSpec, Optimizer, OptimizerSpec, SchedulerSpec,
                     scheduler_value, triplet_margin_loss)
 
 
-class TuningError(RuntimeError):
+class TuningError(ValueError):
     pass
 
 

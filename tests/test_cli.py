@@ -14,7 +14,7 @@ from duotune import cli, data, grid, lab
 from duotune.cli import _tune_config_from_args, build_parser, main
 from duotune.data import ArxivRecord, NegativesEntry, read_triplets
 from duotune.encoder import EncoderConfig, load_dual, save_dual
-from duotune.tuning import TuneConfig
+from duotune.tuning import EpochRecord, RunRecord, TuneConfig
 
 
 @pytest.fixture(scope="module")
@@ -162,7 +162,8 @@ def test_replay_reads_a_schedule_that_ends_before_max_epochs(workspace, tmp_path
         assert (first / name).read_bytes() == (again / name).read_bytes(), name
 
 
-def test_replay_refuses_an_optimizer_constant_it_cannot_reproduce(workspace, tmp_path):
+def test_replay_refuses_an_optimizer_constant_it_cannot_reproduce(workspace, tmp_path,
+                                                                   capsys):
     p = corpus_paths(workspace)
     first = tmp_path / "first"
     assert run_tune(p, first, "--lr", "1e-3") == 0
@@ -170,8 +171,10 @@ def test_replay_refuses_an_optimizer_constant_it_cannot_reproduce(workspace, tmp
     manifest["config"]["tune"]["optimizer"]["beta1"] = 0.8
     bad = tmp_path / "bad-manifest.json"
     bad.write_text(json.dumps(manifest))
-    with pytest.raises(SystemExit, match="beta1"):
+    with pytest.raises(SystemExit) as exc:
         main(["replay", "--manifest", str(bad), "--out", str(tmp_path / "again")])
+    assert exc.value.code == 2
+    assert "beta1" in capsys.readouterr().err
     assert not (tmp_path / "again").exists()
 
 
@@ -200,6 +203,24 @@ def test_replay_with_a_missing_input_is_a_usage_error(workspace, tmp_path, capsy
         main(["replay", "--manifest", str(bad), "--out", str(tmp_path / "again")])
     assert exc.value.code == 2
     assert f"input train: {gone}: FileNotFoundError" in capsys.readouterr().err
+    assert not (tmp_path / "again").exists()
+
+
+def test_replay_reads_a_manifest_path_that_is_a_number_as_a_file_name(workspace, tmp_path,
+                                                                       capsys, monkeypatch):
+    # not as a file descriptor: open(0) would read standard input
+    p = corpus_paths(workspace)
+    first = tmp_path / "first"
+    assert run_tune(p, first, "--lr", "0") == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    manifest["config"]["paths"]["train"] = 0
+    bad = tmp_path / "bad-manifest.json"
+    bad.write_text(json.dumps(manifest))
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["replay", "--manifest", str(bad), "--out", str(tmp_path / "again")])
+    assert exc.value.code == 2
+    assert "argument --manifest input train: 0: FileNotFoundError" in capsys.readouterr().err
     assert not (tmp_path / "again").exists()
 
 
@@ -724,19 +745,52 @@ def refused(case, workspace, tmp_path):
                 "--difficulty", case.split()[1]], out
     if case == "short neighbour list":
         return [*negatives, str(negatives_file(tmp_path / "neg.jsonl", neighbors=20))], out
-    if case.startswith("manifest"):
+    if case in ("manifest command only", "manifest without input_digests"):
         doc = {"command": "tune", "config": {"tune": {}, "paths": {}}}
         manifest.write_text(json.dumps({"command": "tune"} if case == "manifest command only"
                                        else doc))
         return replay, out
-    if case == "replay vocab":
+    if case.startswith(("manifest", "replay")):     # a valid manifest, then the case's edit
         paths = {"model": p["model"], "train": p["train"], "valid": p["valid"],
-                 "vocab": str(big_vocab)}
+                 "vocab": str(big_vocab) if case == "replay vocab" else p["vocab"]}
         cfg = TuneConfig(batch_size=4, epoch_size=2, idle_epochs_to_stop=2, max_epochs=2)
-        manifest.write_text(lab.manifest_json(
+        doc = json.loads(lab.manifest_json(
             "tune", {"tune": dataclasses.asdict(cfg), "paths": paths}, cfg.seed,
             {k: lab.file_digest(v) for k, v in paths.items()}, ["model.ckpt", "run.json"]))
+        tune, digests = doc["config"]["tune"], doc["input_digests"]
+        {"replay vocab": lambda: None,
+         "manifest paths without vocab": lambda: doc["config"]["paths"].pop("vocab"),
+         "manifest digest without a path": lambda: digests.update(extra="0" * 64),
+         "manifest digests not an object": lambda: doc.update(input_digests=["0" * 64]),
+         "manifest command eval": lambda: doc.update(command="eval"),
+         "manifest batch_size big": lambda: tune.update(batch_size="big"),
+         "manifest unknown tune key": lambda: tune.update(epochs=3),
+         "manifest changed input": lambda: digests.update(train="0" * 64),
+         "manifest optimizer constant": lambda: tune["optimizer"].update(beta1=0.8),
+         "manifest freeze B5": lambda: tune.update(freeze="B5")}[case]()
+        manifest.write_text(json.dumps(doc))
         return replay, out
+    if case.startswith("freeze"):
+        _, where, spec = case.split(" ", 2)
+        tune = ["tune", *model, "--vocab", p["vocab"], *tune_args, "--out", str(out)]
+        if where == "config":
+            ini = tmp_path / "tune.ini"
+            ini.write_text(f"[tune]\nfreeze = {spec}\n")
+            return [*tune, "--config", str(ini)], out
+        if where == "sweep":
+            return [*sweep_args, "--axis", "freeze", "--values", spec,   # the later flags win
+                    "--eval", f"h={p['evals']}"], out
+        return [*tune, "--freeze", spec, *(["--mode", "both-tuned"] * (where == "both"))], out
+    if case.startswith("run epoch"):
+        record = dataclasses.asdict(RunRecord(1.0, 3, [EpochRecord(1, 0.5, 2, True)], 1, 2, "x"))
+        if case.endswith("without accepted"):
+            del record["epochs"][0]["accepted"]
+        else:
+            record["epochs"][0]["lr"] = 1e-3
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "run.json").write_text(json.dumps(record))
+        return ["report", "--run", str(run)], out
     if case.endswith(" vocab"):
         data = {"eval": ["--data", p["evals"]], "grid-eval": ["--pairs", p["pairs"]],
                 "tune": tune_args, "sweep": [*tune_args, "--eval", f"h={p['evals']}",
@@ -907,6 +961,24 @@ def refused(case, workspace, tmp_path):
                                           "record a1: abstract ' \\n ' is blank"]),
     ("arxiv field --negatives title", ["argument --negatives", "arxiv_field.jsonl",
                                        "record a1: title 7 is not a string"]),
+    ("manifest paths without vocab", ["argument --manifest", "KeyError: 'vocab'"]),
+    ("manifest digest without a path", ["argument --manifest", "input_digests must give one "
+                                        "digest for each of model, train, valid, vocab"]),
+    ("manifest digests not an object", ["argument --manifest", "input_digests must give"]),
+    ("manifest command eval", ["argument --manifest", "command 'eval': only tune manifests"]),
+    ("manifest batch_size big", ["argument --manifest", "TypeError"]),
+    ("manifest unknown tune key", ["argument --manifest", "unexpected keyword argument 'epochs'"]),
+    ("manifest changed input", ["argument --manifest input train", "tune_lang0.jsonl changed "
+                                "since the original run"]),
+    ("manifest optimizer constant", ["argument --manifest", "optimizer beta1 is fixed at 0.9"]),
+    ("manifest freeze B5", ["argument --manifest", "'B5': the model has no block 5"]),
+    ("freeze tune B5", ["argument --freeze", "'B5': the model has no block 5"]),
+    ("freeze config B5", ["argument --freeze", "'B5': the model has no block 5"]),
+    ("freeze sweep emb;B5", ["argument --values", "'B5': the model has no block 5"]),
+    ("freeze both emb, B0-5", ["argument --freeze", "'B0-5': the model has no block 2"]),
+    ("run epoch without accepted", ["argument --run", "run.json", "'accepted'"]),
+    ("run epoch with an extra field", ["argument --run", "run.json",
+                                       "unexpected keyword argument 'lr'"]),
 ])
 def test_refused_flag_values_are_usage_errors(workspace, tmp_path, capsys, case, named):
     argv, out = refused(case, workspace, tmp_path)

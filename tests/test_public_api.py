@@ -1,6 +1,7 @@
 """A guard against dead public API: every public module-level function and
 class of `duotune` has a caller in the package or the benchmark, or an entry
-below saying why it stays."""
+below saying why it stays; every public method and property of a `duotune`
+class has one too."""
 
 import ast
 import importlib
@@ -68,10 +69,37 @@ def used_names(path: Path) -> set:
     return used
 
 
+def public_methods() -> set:
+    """`module.Class.name` for each public method and property of a public class."""
+    names = set()
+    for name in public_names():
+        mod, _, cls = name.partition(".")
+        obj = getattr(importlib.import_module(f"duotune.{mod}"), cls)
+        if inspect.isclass(obj):
+            names.update(f"{name}.{a}" for a, v in vars(obj).items() if not a.startswith("_")
+                         and (inspect.isfunction(v)
+                              or isinstance(v, (property, classmethod, staticmethod))))
+    return names
+
+
+def attributes_read(path: Path) -> set:
+    """The name of every attribute `path` reads (`x.name`), whatever `x` is."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+FILES = [*sorted((ROOT / "src" / "duotune").glob("*.py")),
+         *(p for p in sorted((ROOT / "perfbench").glob("*.py")) if p.name != "selftest.py")]
+
+
+def test_every_public_method_and_property_has_a_caller():
+    # by name only: a method counts as called when any file reads an attribute of its name
+    read = set().union(*map(attributes_read, FILES))
+    assert {m for m in public_methods() if m.rpartition(".")[2] not in read} == set()
+
+
 def test_every_public_function_and_class_has_a_caller():
-    files = [*sorted((ROOT / "src" / "duotune").glob("*.py")),
-             *(p for p in sorted((ROOT / "perfbench").glob("*.py")) if p.name != "selftest.py")]
-    used = set().union(*map(used_names, files))
+    used = set().union(*map(used_names, FILES))
     public = public_names()
     assert set(NO_CALLER) <= public
     assert set(NO_CALLER) & used == set()    # an entry that gained a caller goes
