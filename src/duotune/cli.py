@@ -17,6 +17,7 @@ import configparser
 import dataclasses
 import json
 import sys
+import typing
 from pathlib import Path
 
 from . import data as D
@@ -31,6 +32,8 @@ from .tuning import EpochRecord, RunRecord, TuneConfig, TuningError, tune
 TUNE_INPUTS = ("model", "train", "valid", "vocab")
 # an unreadable file, a lab error (each is a ValueError), a missing key, a wrong type
 REFUSALS = (OSError, ValueError, KeyError, TypeError)
+# the JSON types a run record field may hold: a loss is a number, and only `accepted` a bool
+RECORD_TYPES = {float: (int, float), int: (int,), bool: (bool,), str: (str,)}
 
 
 def _checked(flag: str, call, *args, refuse=REFUSALS, **kwargs):
@@ -382,7 +385,13 @@ def cmd_diagnose(args) -> int:
 def cmd_report(args) -> int:
     def load(path):
         record = json.loads(path.read_text(encoding="utf-8"))
-        return RunRecord(**{**record, "epochs": [EpochRecord(**e) for e in record["epochs"]]})
+        run = RunRecord(**{**record, "epochs": [EpochRecord(**e) for e in record["epochs"]]})
+        for rec in (run, *run.epochs):
+            for name, kind in typing.get_type_hints(type(rec)).items():
+                value = getattr(rec, name)
+                if kind in RECORD_TYPES and type(value) not in RECORD_TYPES[kind]:
+                    raise TypeError(f"{name} must be {kind.__name__}, not {value!r}")
+        return run
     record = _read("--run", Path(args.run) / "run.json", load)
     accepted = [e for e in record.epochs if e.accepted]
     print(f"epochs: {len(record.epochs)}, accepted: {len(accepted)}, "
@@ -479,11 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_make_triplets)
 
     p = sub.add_parser("tune", help="tune the query encoder")
-    p.add_argument("--model", required=True)
-    p.add_argument("--train", required=True)
-    p.add_argument("--valid", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--out", required=True)
+    for flag in ("--model", "--train", "--valid", "--vocab", "--out"):
+        p.add_argument(flag, required=True)
     _add_tune_flags(p)
     p.set_defaults(func=cmd_tune)
 
@@ -493,28 +499,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("eval", help="evaluate triplets")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--measure", choices=[*MEASURES, "both"],
-                   default="both")
+    for flag in ("--model", "--data", "--vocab"):
+        p.add_argument(flag, required=True)
+    p.add_argument("--measure", choices=[*MEASURES, "both"], default="both")
     p.add_argument("--out")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("grid-eval", help="language-pair grid evaluation")
-    p.add_argument("--model", required=True)
-    p.add_argument("--pairs", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--measure", choices=[*MEASURES, "both"],
-                   default="both")
+    for flag in ("--model", "--pairs", "--vocab"):
+        p.add_argument(flag, required=True)
+    p.add_argument("--measure", choices=[*MEASURES, "both"], default="both")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_grid_eval)
 
     p = sub.add_parser("sweep", help="sweep one tuning axis")
-    p.add_argument("--model", required=True)
-    p.add_argument("--train", required=True)
-    p.add_argument("--valid", required=True)
-    p.add_argument("--vocab", required=True)
+    for flag in ("--model", "--train", "--valid", "--vocab"):
+        p.add_argument(flag, required=True)
     p.add_argument("--axis", choices=list(lab.SWEEP_AXES), required=True)
     p.add_argument("--values", required=True,
                    help="comma-separated; ';'-separated for --axis freeze; write "

@@ -390,8 +390,10 @@ def measure_from_dots(dots: np.ndarray, measure: str) -> np.ndarray:
 
 
 def similarity_matrix(A: np.ndarray, B: np.ndarray, measure: str) -> np.ndarray:
-    """Pairwise similarities for unit-norm rows; (len(A), len(B))."""
-    return measure_from_dots(A.astype(np.float64) @ B.astype(np.float64).T, measure)
+    """Pairwise similarities for unit-norm rows: (..., m, h) and (..., n, h) give
+    (..., m, n), each leading index with the bits of its own 2-D product."""
+    B = np.swapaxes(B.astype(np.float64), -1, -2)
+    return measure_from_dots(A.astype(np.float64) @ B, measure)
 
 
 class Vocab:

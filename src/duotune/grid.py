@@ -97,26 +97,26 @@ def grid_plan(model: DualEncoder, corpus: PairCorpus, measures: Sequence[str],
               vocab: Vocab) -> Plan:
     """`grid_reports` as a plan (see `run_plans`): one group per (label,
     language, side), kept apart, as padding a row into a longer batch can change it."""
-    K, max_len = len(corpus.languages), model.config.max_positions
+    langs, max_len = corpus.languages, model.config.max_positions
     towers = (model.query_params, model.text_params)
-    index = [(side, lbl, lang) for lbl in LABELS for lang in corpus.languages for side in (0, 1)]
+    index = [(side, lbl, lang) for lbl in LABELS for lang in langs for side in (0, 1)]
     groups = [(towers[side], [vocab.encode(pair[lang][side], max_len)
                               for pair in corpus.pairs[lbl]]) for side, lbl, lang in index]
 
     def finish(encodes: List[np.ndarray]) -> Dict[str, PairGridReport]:
-        emb = {k: e.astype(np.float64) for k, e in zip(index, encodes)}
-        reports = {m: PairGridReport(list(corpus.languages), m, len(corpus),
-                                     {c: np.zeros((K, K), dtype=np.int64) for c in CONTRAST_LABELS})
-                   for m in measures}
-        for qi, lq in enumerate(corpus.languages):
-            for ti, lt in enumerate(corpus.languages):
-                dots = {lbl: np.sum(emb[(0, lbl, lq)] * emb[(1, lbl, lt)], axis=1)
-                        for lbl in LABELS}
-                for m, report in reports.items():
-                    ent = measure_from_dots(dots["entailment"], m)
-                    for contrast in CONTRAST_LABELS:
-                        report.errors[contrast][qi, ti] = count_errors(
-                            ent, measure_from_dots(dots[contrast], m))
+        emb = dict(zip(index, encodes))
+        query, text = ({lbl: np.stack([emb[(side, lbl, lang)] for lang in langs])
+                        .astype(np.float64) for lbl in LABELS} for side in (0, 1))
+        # per label, (K, K, n) row-wise dot products: query language, text language, pair
+        dots = {lbl: np.sum(query[lbl][:, None] * text[lbl][None], axis=-1) for lbl in LABELS}
+
+        def cell(i):
+            return f"grid cell (query {langs[i[0]]}, text {langs[i[1]]})"
+        reports = {}
+        for m in measures:
+            ent = measure_from_dots(dots["entailment"], m)
+            reports[m] = PairGridReport(list(langs), m, len(corpus), {
+                c: count_errors(ent, measure_from_dots(dots[c], m), cell) for c in CONTRAST_LABELS})
         return reports
     return groups, finish
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,43 +54,57 @@ class EvalReport:
                 *(f"{v:.10g}" for v in (self.pnd, self.mrr, self.map, self.p_at_1))]
 
 
-def count_errors(pos_sims: np.ndarray, neg_sims: np.ndarray) -> int:
-    """Number of (positive, negative) pairs where the positive is not strictly
-    more similar than the negative; ties count as errors."""
-    neg = np.sort(neg_sims)
-    return int(len(pos_sims) * len(neg) - np.searchsorted(neg, pos_sims, side="left").sum())
+def count_errors(pos_sims: np.ndarray, neg_sims: np.ndarray,
+                 where: Callable[[tuple], str] = lambda i: f"row {i}") -> np.ndarray:
+    """Per row of the last axis (leading axes are kept), the (positive, negative)
+    pairs where the positive is not strictly more similar; ties count as errors.
+    A stable argsort puts each positive before the negatives it ties with, and it
+    errs against every negative after it. A NaN or inf names `where(row index)`."""
+    both = np.concatenate([pos_sims, neg_sims], axis=-1)
+    bad = np.argwhere(~np.isfinite(both).all(axis=-1))
+    if len(bad):
+        raise MetricsError(f"non-finite similarity in {where(tuple(bad[0].tolist()))}")
+    is_neg = np.argsort(both, axis=-1, kind="stable") >= np.shape(pos_sims)[-1]
+    return np.where(is_neg, 0, np.shape(neg_sims)[-1] - np.cumsum(is_neg, axis=-1)).sum(-1)
 
 
 def full_reports(judgments: Sequence[QueryJudgments],
                  measures: Sequence[str]) -> Dict[str, EvalReport]:
-    """PND, MRR, MAP and P@1 under each measure, from one product per query.
+    """PND, MRR, MAP and P@1 under each measure, with one product, argsort and
+    `count_errors` call per candidate shape (candidate count, positive count).
 
-    A pair errs when the positive is not strictly more similar to the query
-    than the negative; ties count as errors. Ranks are by descending
-    similarity with stable tie order.
+    A pair errs when the positive is not strictly more similar to the query than
+    the negative; ties count as errors. Ranks are by descending similarity with
+    stable tie order.
     """
     if not judgments:
         raise MetricsError("scoring needs at least one query")
-    rows: Dict[str, list] = {m: [] for m in measures}   # per query: errors, pairs, RR, AP, P@1
-    for q in judgments:
-        if q.is_positive.all() or not q.is_positive.any():
-            raise MetricsError("scoring needs >=1 positive and >=1 negative per query")
-        dots = similarity_matrix(q.query[None, :], q.candidates, "cosine")[0]  # unit rows
-        for m in measures:
+    shapes = np.array([(len(q.is_positive), np.count_nonzero(q.is_positive)) for q in judgments])
+    n_cand, n_pos = shapes.T
+    if ((n_pos == 0) | (n_pos == n_cand)).any():
+        raise MetricsError("scoring needs >=1 positive and >=1 negative per query")
+    # per measure and query: errors, RR, AP, P@1
+    rows = {m: (np.empty(len(shapes), dtype=np.int64), *np.empty((3, len(shapes))))
+            for m in measures}
+    for n, p in np.unique(shapes, axis=0):
+        idx = np.flatnonzero((shapes == (n, p)).all(axis=1))
+        query, cands, labels = (np.stack([getattr(judgments[i], f) for i in idx])
+                                for f in ("query", "candidates", "is_positive"))
+        dots = similarity_matrix(query[:, None], cands, "cosine")[:, 0]
+        for m, (errors, rr, ap, p1) in rows.items():
             sims = measure_from_dots(dots, m)
-            labels = q.is_positive[np.argsort(-sims, kind="stable")]
-            ranks = np.nonzero(labels)[0] + 1
-            rows[m].append((count_errors(sims[q.is_positive], sims[~q.is_positive]),
-                            len(ranks) * (len(labels) - len(ranks)), 1.0 / ranks[0],
-                            float(np.mean(np.arange(1, len(ranks) + 1) / ranks)),
-                            float(labels[0])))
-    reports = {}
-    for m, per_query in rows.items():
-        errors, pairs, rr, ap, p1 = zip(*per_query)
-        reports[m] = EvalReport(m, len(judgments), sum(errors), sum(pairs),
-                                float(np.mean([e / n for e, n in zip(errors, pairs)])),
-                                float(np.mean(rr)), float(np.mean(ap)), float(np.mean(p1)))
-    return reports
+            errors[idx] = count_errors(sims[labels].reshape(-1, p),
+                                       sims[~labels].reshape(-1, n - p),
+                                       lambda i: f"query {idx[i[0]]}")
+            hits = np.take_along_axis(labels, np.argsort(-sims, axis=-1, kind="stable"), -1)
+            ranks = np.nonzero(hits)[1].reshape(-1, p) + 1
+            rr[idx], p1[idx] = 1.0 / ranks[:, 0], hits[:, 0]
+            ap[idx] = np.mean(np.arange(1, p + 1) / ranks, axis=-1)
+    pairs = n_pos * (n_cand - n_pos)
+    return {m: EvalReport(m, len(judgments), int(errors.sum()), int(pairs.sum()),
+                          float(np.mean(errors / pairs)), float(np.mean(rr)),
+                          float(np.mean(ap)), float(np.mean(p1)))
+            for m, (errors, rr, ap, p1) in rows.items()}
 
 
 def pnd(judgments: Sequence[QueryJudgments], measure: str) -> EvalReport:

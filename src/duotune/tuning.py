@@ -24,6 +24,7 @@ way, so the bits do not depend on the thread count.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -57,16 +58,13 @@ class TuneConfig:
     mode: str = "query-only"            # or "both-tuned"
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise TuningError("batch_size must be >= 1")
-        if self.epoch_size < 1:
-            raise TuningError("epoch_size must be >= 1")
-        if self.idle_epochs_to_stop < 1:
-            raise TuningError("idle_epochs_to_stop must be >= 1")
-        if self.max_epochs < 0:
-            raise TuningError("max_epochs must be >= 0")
-        if self.seed < 0:
-            raise TuningError("seed must be >= 0")
+        for name, low in (("batch_size", 1), ("epoch_size", 1), ("idle_epochs_to_stop", 1),
+                          ("max_epochs", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TuningError(f"{name} must be an integer, not {value!r}")
+            if value < low:
+                raise TuningError(f"{name} must be >= {low}")
         if self.epoch_policy not in ("batches", "samples"):
             raise TuningError(f"unknown epoch policy {self.epoch_policy!r}")
         if self.epoch_policy == "samples" and self.epoch_size < self.batch_size:
@@ -162,13 +160,8 @@ def validate_samples(model: DualEncoder, samples: Sequence[TripletSample],
 
 def _epoch_index_stream(n_samples: int, needed: int, rng: T.Rng) -> np.ndarray:
     """Fresh permutations, concatenated until `needed` indices are available."""
-    chunks = []
-    got = 0
-    while got < needed:
-        perm = rng.permutation(n_samples)
-        chunks.append(perm)
-        got += n_samples
-    return np.concatenate(chunks)[:needed]
+    n_perms = -(-needed // n_samples)
+    return np.concatenate([rng.permutation(n_samples) for _ in range(n_perms)])[:needed]
 
 
 def tune(model: DualEncoder, train: Sequence[TripletSample],

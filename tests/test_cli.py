@@ -764,6 +764,8 @@ def refused(case, workspace, tmp_path):
          "manifest digests not an object": lambda: doc.update(input_digests=["0" * 64]),
          "manifest command eval": lambda: doc.update(command="eval"),
          "manifest batch_size big": lambda: tune.update(batch_size="big"),
+         "manifest batch_size 4.5": lambda: tune.update(batch_size=4.5),
+         "manifest seed true": lambda: tune.update(seed=True),
          "manifest unknown tune key": lambda: tune.update(epochs=3),
          "manifest changed input": lambda: digests.update(train="0" * 64),
          "manifest optimizer constant": lambda: tune["optimizer"].update(beta1=0.8),
@@ -781,12 +783,17 @@ def refused(case, workspace, tmp_path):
             return [*sweep_args, "--axis", "freeze", "--values", spec,   # the later flags win
                     "--eval", f"h={p['evals']}"], out
         return [*tune, "--freeze", spec, *(["--mode", "both-tuned"] * (where == "both"))], out
-    if case.startswith("run epoch"):
+    if case.startswith("run "):       # a valid run record, then the case's edit
         record = dataclasses.asdict(RunRecord(1.0, 3, [EpochRecord(1, 0.5, 2, True)], 1, 2, "x"))
-        if case.endswith("without accepted"):
-            del record["epochs"][0]["accepted"]
-        else:
-            record["epochs"][0]["lr"] = 1e-3
+        epoch = record["epochs"][0]
+        {"run epoch without accepted": lambda: epoch.pop("accepted"),
+         "run epoch with an extra field": lambda: epoch.update(lr=1e-3),
+         "run initial_loss x": lambda: record.update(initial_loss="x"),
+         "run initial_errors true": lambda: record.update(initial_errors=True),
+         "run total_steps 2.0": lambda: record.update(total_steps=2.0),
+         "run stop_reason 3": lambda: record.update(stop_reason=3),
+         "run epoch val_loss null": lambda: epoch.update(val_loss=None),
+         "run epoch accepted 1": lambda: epoch.update(accepted=1)}[case]()
         run = tmp_path / "run"
         run.mkdir()
         (run / "run.json").write_text(json.dumps(record))
@@ -966,7 +973,8 @@ def refused(case, workspace, tmp_path):
                                         "digest for each of model, train, valid, vocab"]),
     ("manifest digests not an object", ["argument --manifest", "input_digests must give"]),
     ("manifest command eval", ["argument --manifest", "command 'eval': only tune manifests"]),
-    ("manifest batch_size big", ["argument --manifest", "TypeError"]),
+    ("manifest batch_size big", ["argument --manifest",
+                                 "TuningError: batch_size must be an integer, not 'big'"]),
     ("manifest unknown tune key", ["argument --manifest", "unexpected keyword argument 'epochs'"]),
     ("manifest changed input", ["argument --manifest input train", "tune_lang0.jsonl changed "
                                 "since the original run"]),
@@ -979,6 +987,14 @@ def refused(case, workspace, tmp_path):
     ("run epoch without accepted", ["argument --run", "run.json", "'accepted'"]),
     ("run epoch with an extra field", ["argument --run", "run.json",
                                        "unexpected keyword argument 'lr'"]),
+    ("manifest batch_size 4.5", ["argument --manifest", "batch_size must be an integer, not 4.5"]),
+    ("manifest seed true", ["argument --manifest", "seed must be an integer, not True"]),
+    ("run initial_loss x", ["argument --run", "run.json", "initial_loss must be float, not 'x'"]),
+    ("run initial_errors true", ["argument --run", "initial_errors must be int, not True"]),
+    ("run total_steps 2.0", ["argument --run", "total_steps must be int, not 2.0"]),
+    ("run stop_reason 3", ["argument --run", "stop_reason must be str, not 3"]),
+    ("run epoch val_loss null", ["argument --run", "val_loss must be float, not None"]),
+    ("run epoch accepted 1", ["argument --run", "accepted must be bool, not 1"]),
 ])
 def test_refused_flag_values_are_usage_errors(workspace, tmp_path, capsys, case, named):
     argv, out = refused(case, workspace, tmp_path)

@@ -8,9 +8,10 @@ from duotune import tensor as T
 from duotune.cli import main
 from duotune.data import SynthCorpusSpec, gen_synth_corpus
 from duotune.encoder import (MEASURES, DualEncoder, EncoderConfig, Vocab, encode,
-                             similarity)
+                             measure_from_dots, similarity)
 from duotune.grid import (CONTRAST_LABELS, LABELS, GridError, PairCorpus,
-                          PairGridReport, grid_compare, grid_eval, grid_reports)
+                          PairGridReport, grid_compare, grid_eval, grid_plan, grid_reports)
+from duotune.metrics import MetricsError
 
 CFG = EncoderConfig(vocab_size=40, hidden=16, n_blocks=2, n_heads=2,
                     intermediate=32, max_positions=16)
@@ -125,6 +126,45 @@ def test_grid_reports_equal_one_grid_eval_per_measure():
             (single.languages, m, 4)
         for contrast in CONTRAST_LABELS:
             assert np.array_equal(reports[m].errors[contrast], single.errors[contrast])
+
+
+def pool_encodes(corpus, rng, dim=6):
+    """Encodes for `grid_plan`'s groups, in its order (label, language, side),
+    drawn from a pool of four float32 unit rows so that similarities often tie."""
+    pool = rng.normal(size=(4, dim)).astype(np.float32)
+    pool /= np.linalg.norm(pool, axis=1, keepdims=True)
+    index = [(side, lbl, lang) for lbl in LABELS for lang in corpus.languages for side in (0, 1)]
+    return index, [pool[rng.integers(0, 4, size=len(corpus))] for _ in index]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_grid_finish_equals_a_loop_over_cells(seed):
+    corpus, vocab = mixed_length_pairs()
+    model = DualEncoder.twin_init(CFG, T.Rng(0))
+    _, finish = grid_plan(model, corpus, MEASURES, vocab)
+    index, encodes = pool_encodes(corpus, np.random.default_rng(seed))
+    emb = {k: e.astype(np.float64) for k, e in zip(index, encodes)}
+    reports = finish(encodes)
+    for m in MEASURES:
+        for qi, lq in enumerate(corpus.languages):
+            for ti, lt in enumerate(corpus.languages):
+                sims = {lbl: measure_from_dots(np.sum(emb[(0, lbl, lq)] * emb[(1, lbl, lt)],
+                                                      axis=1), m) for lbl in LABELS}
+                for contrast in CONTRAST_LABELS:
+                    count = sum(1 for e in sims["entailment"] for x in sims[contrast] if e <= x)
+                    assert reports[m].errors[contrast][qi, ti] == count, (m, lq, lt)
+
+
+@pytest.mark.parametrize("measure", MEASURES)
+def test_grid_refuses_a_nan_similarity_naming_the_cell(measure):
+    corpus, vocab = mixed_length_pairs()
+    model = DualEncoder.twin_init(CFG, T.Rng(0))
+    _, finish = grid_plan(model, corpus, (measure,), vocab)
+    index, encodes = pool_encodes(corpus, np.random.default_rng(0))
+    encodes[index.index((0, "entailment", "l1"))][2] = np.nan
+    with pytest.raises(MetricsError, match=r"non-finite similarity in grid cell "
+                                           r"\(query l1, text l0\)"):
+        finish(encodes)
 
 
 def test_separable_corpus_has_zero_errors():

@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from duotune import metrics
-from duotune.encoder import MEASURES, similarity
+from duotune.data import SynthCorpusSpec, gen_synth_corpus
+from duotune.encoder import MEASURES, Vocab, measure_from_dots, similarity
+from duotune.lab import judgments_from_triplets
 from duotune.metrics import (EvalReport, MetricsError, QueryJudgments,
                              count_errors, full_reports, improvement, pnd,
                              rank_metrics, z_test)
@@ -174,20 +177,124 @@ def test_full_report_csv_row_shape():
 
 
 def test_full_reports_score_each_query_once_for_every_measure(monkeypatch):
-    judgments = judgments_from(np.random.default_rng(5), 6)
+    judgments = judgments_from(np.random.default_rng(5), 30, max_candidates=4)
+    shapes = {(len(q.is_positive), int(q.is_positive.sum())) for q in judgments}
+    assert len(shapes) < len(judgments)
     calls = []
 
     def counting(*args):
-        calls.append(1)
+        calls.append(len(args[0]))
         return similarity_matrix(*args)
 
     similarity_matrix = metrics.similarity_matrix
     monkeypatch.setattr(metrics, "similarity_matrix", counting)
     reports = full_reports(judgments, MEASURES)
-    assert len(calls) == len(judgments)
+    # one batched product per candidate shape, covering every query once
+    assert len(calls) == len(shapes) and sum(calls) == len(judgments)
     for m in MEASURES:
         assert reports[m] == pnd(judgments, m)
         assert (reports[m].mrr, reports[m].map, reports[m].p_at_1) == rank_metrics(judgments, m)
+
+
+# --- batched scoring against the per-query loop it replaced ----------------------
+
+def per_query_reports(judgments, measures):
+    """`full_reports` as it was before scoring went to arrays: one query at a
+    time, with a sort and a binary search for the error count."""
+    rows = {m: [] for m in measures}
+    for q in judgments:
+        dots = metrics.similarity_matrix(q.query[None, :], q.candidates, "cosine")[0]
+        for m in measures:
+            sims = measure_from_dots(dots, m)
+            labels = q.is_positive[np.argsort(-sims, kind="stable")]
+            ranks = np.nonzero(labels)[0] + 1
+            neg = np.sort(sims[~q.is_positive])
+            errors = len(ranks) * len(neg) - np.searchsorted(neg, sims[q.is_positive]).sum()
+            rows[m].append((int(errors), len(ranks) * (len(labels) - len(ranks)),
+                            1.0 / ranks[0], float(np.mean(np.arange(1, len(ranks) + 1) / ranks)),
+                            float(labels[0])))
+    reports = {}
+    for m, per_query in rows.items():
+        errors, pairs, rr, ap, p1 = zip(*per_query)
+        reports[m] = EvalReport(m, len(judgments), sum(errors), sum(pairs),
+                                float(np.mean([e / n for e, n in zip(errors, pairs)])),
+                                float(np.mean(rr)), float(np.mean(ap)), float(np.mean(p1)))
+    return reports
+
+
+def hex_fields(report):
+    return [v.hex() if isinstance(v, float) else v for v in vars(report).values()]
+
+
+def tied_judgments(rng, n_queries, dim=5, dtype=np.float32):
+    """Judgments of mixed shapes (1-7 candidates, positives anywhere) whose
+    candidates come from a pool of four vectors, so similarities often tie."""
+    pool = np.stack([random_unit(rng, dim) for _ in range(4)]).astype(dtype)
+    out = []
+    for _ in range(n_queries):
+        n = int(rng.integers(2, 8))
+        labels = rng.permutation(np.arange(n) < rng.integers(1, n))
+        out.append(QueryJudgments(random_unit(rng, dim).astype(dtype),
+                                  pool[rng.integers(0, 4, size=n)], labels))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_full_reports_equal_the_per_query_loop_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    judgments = tied_judgments(rng, 60, dim=int(rng.integers(2, 40)),
+                               dtype=(np.float32, np.float64)[seed % 2])
+    got, want = full_reports(judgments, MEASURES), per_query_reports(judgments, MEASURES)
+    for m in MEASURES:
+        assert hex_fields(got[m]) == hex_fields(want[m]), m
+
+
+def test_full_reports_equal_the_per_query_loop_on_a_heldout_set(tiny_model, tiny_vocab):
+    spec = SynthCorpusSpec(n_languages=1, vocab_size=30, n_topics=4, n_pretrain=0,
+                           n_tune=0, n_heldout=200, n_pairs_per_label=0, seed=3)
+    corpus = gen_synth_corpus(spec)
+    vocab = Vocab(corpus.vocab_tokens)
+    judgments = judgments_from_triplets(tiny_model, corpus.heldout[0], vocab)
+    assert len(judgments) == 200
+    got, want = full_reports(judgments, MEASURES), per_query_reports(judgments, MEASURES)
+    for m in MEASURES:
+        assert hex_fields(got[m]) == hex_fields(want[m]), m
+
+
+# few distinct values, so positives and negatives often tie
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_batched_count_errors_matches_double_loop(data):
+    lead = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2), label="leading axes"))
+    p, n = data.draw(st.integers(0, 6), label="p"), data.draw(st.integers(0, 6), label="n")
+    values = st.sampled_from([-1.0, 0.0, 0.25, 1.0])
+    pos = data.draw(arrays(np.float64, (*lead, p), elements=values), label="pos")
+    neg = data.draw(arrays(np.float64, (*lead, n), elements=values), label="neg")
+    if p and n:     # force a tie in every row
+        neg[..., 0] = pos[..., 0]
+    got = count_errors(pos, neg)
+    assert np.shape(got) == lead
+    for i in np.ndindex(*lead):
+        assert got[i] == sum(1 for a in pos[i] for b in neg[i] if a <= b)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_count_errors_refuses_a_non_finite_similarity_naming_its_row(bad):
+    pos, neg = np.zeros((2, 3, 2)), np.ones((2, 3, 4))
+    neg[1, 2, 3] = bad
+    with pytest.raises(MetricsError, match=r"non-finite similarity in row \(1, 2\)"):
+        count_errors(pos, neg)
+
+
+@pytest.mark.parametrize("measure", MEASURES)
+def test_full_reports_refuse_a_nan_similarity_naming_the_query(measure):
+    # before: errors 0 while MRR ranked the NaN positive second
+    q = np.array([1.0, 0.0])
+    judgments = [QueryJudgments(q, np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]),
+                                [True, False, False]),
+                 QueryJudgments(q, np.array([[np.nan, 0.0], [0.0, 1.0]]), [True, False])]
+    with pytest.raises(MetricsError, match="non-finite similarity in query 1"):
+        full_reports(judgments, (measure,))
 
 
 # --- improvement -----------------------------------------------------------------

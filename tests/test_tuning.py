@@ -71,6 +71,11 @@ def test_config_validation():
         with pytest.raises(TuningError):
             TuneConfig(**bad)
     assert TuneConfig(max_epochs=0).max_epochs == 0
+    for name in ("batch_size", "epoch_size", "idle_epochs_to_stop", "max_epochs", "seed"):
+        for value in (True, 4.5, 4.0, "4", None):
+            with pytest.raises(TuningError, match=f"{name} must be an integer, not {value!r}"):
+                TuneConfig.from_dict({name: value})
+        assert getattr(TuneConfig.from_dict({name: np.int64(4)}), name) == 4
     # a new run's L or Q schedule must reach the last step: 3 epochs x 5 batches
     # end at step 14. A config alone is not checked, so a recorded run still loads.
     short = dict(epoch_size=5, max_epochs=3)
