@@ -339,7 +339,11 @@ def cmd_sweep(args) -> int:
     model, vocab = _read_model_and_vocab(args.model, args.vocab)
     train = _read("--train", args.train, D.read_triplets)
     valid = _read("--valid", args.valid, D.read_triplets)
-    eval_sets = {name: _read("--eval", path, D.read_triplets) for name, path in args.eval}
+    eval_sets = {}
+    for name, path in args.eval:
+        if name in eval_sets:
+            raise argparse.ArgumentError(None, f"argument --eval: name {name!r} given twice")
+        eval_sets[name] = _read("--eval", path, D.read_triplets)
     grid_corpus = _read("--pairs", args.pairs, PairCorpus.load) if args.pairs else None
     spec = lab.SweepSpec(axis=args.axis, values=values, base=base,
                          eval_sets=eval_sets, grid_corpus=grid_corpus,

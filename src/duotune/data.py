@@ -198,53 +198,40 @@ class MiningStats:
     all_distinct_top20: int = 0
 
 
-def _sorted_categories(record: ArxivRecord, census: Dict[str, int]) -> List[str]:
-    return sorted(record.categories, key=lambda c: (census[c], c))
-
-
-def _prefix_match_len(a: Sequence[str], b: Sequence[str]) -> int:
-    n = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        n += 1
-    return n
-
-
 def mine_arxiv_negatives(records: Sequence[ArxivRecord], max_category_size: int = 10000,
                          seed: int = 0) -> Tuple[List[NegativesEntry], MiningStats]:
     """Per record: 20 nearest prefix-matching papers by JS distance over
     abstract token histograms (padded by the last if fewer), plus one random
     distinct 21st. Deterministic in `seed`, including the random slot.
     """
+    repeated = next((i for i, n in Counter(r.id for r in records).items() if n > 1), None)
+    if repeated is not None:
+        raise DataError(f"record {repeated}: id repeated")
     census = Counter(c for r in records for c in r.categories)
     small = {c for c, n in census.items() if n <= max_category_size}
     kept = [r for r in records if any(c in small for c in r.categories)]
     if len(kept) < 2:
         raise DataError("need at least 2 records after category filtering")
 
-    sorted_cats = {r.id: _sorted_categories(r, census) for r in kept}
+    cats = [tuple(sorted(r.categories, key=lambda c: (census[c], c))) for r in kept]
     hists = {r.id: token_histogram(r.abstract) for r in kept}
     all_ids = [r.id for r in kept]
+    # sorted-category prefix -> ids of the kept records whose sorted list starts with it
+    under: Dict[tuple, List[str]] = {}
+    for rec, mine in zip(kept, cats):
+        for n in range(1, len(mine) + 1):
+            under.setdefault(mine[:n], []).append(rec.id)
 
     stats = MiningStats(kept_records=len(kept))
     entries: List[NegativesEntry] = []
-    for idx, rec in enumerate(kept):
-        mine = sorted_cats[rec.id]
-        best_len = 0
-        candidates: List[str] = []
-        for other in kept:
-            if other.id == rec.id:
-                continue
-            L = _prefix_match_len(mine, sorted_cats[other.id])
-            if L > best_len:
-                best_len = L
-                candidates = [other.id]
-            elif L == best_len and L > 0:
-                candidates.append(other.id)
+    for idx, (rec, mine) in enumerate(zip(kept, cats)):
+        # ids under the longest own prefix another shares: none shares a longer one
+        shared = next((ids for n in range(len(mine), 0, -1)
+                       if len(ids := under[mine[:n]]) > 1), [])
+        candidates = [cid for cid in shared if cid != rec.id]
 
         rng = Rng(seed).spawn(2, idx)
-        if best_len == 0:
+        if not candidates:
             # no shared first category anywhere: fill from the random stage
             stats.empty_candidate_sets += 1
             rand_id = _random_other_id(all_ids, rec.id, rng)

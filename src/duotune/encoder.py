@@ -405,7 +405,8 @@ class Vocab:
     def __init__(self, tokens: Sequence[str]):
         self.tokens = [self.PAD_TOKEN, self.UNK_TOKEN] + [
             t for t in tokens if t not in (self.PAD_TOKEN, self.UNK_TOKEN)]
-        self.index = {t: i for i, t in enumerate(self.tokens)}
+        # no pad entry: a literal "<pad>" word is unknown, never the pad id
+        self.index = {t: i for i, t in enumerate(self.tokens) if i != PAD_ID}
 
     def __len__(self):
         return len(self.tokens)

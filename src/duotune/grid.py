@@ -63,6 +63,10 @@ class PairCorpus:
                 by_pair[pid] = {}
                 label_of[pid] = lbl
                 order[lbl].append(pid)
+            elif label_of[pid] != lbl:
+                raise GridError(f"pair {pid!r}: label {lbl!r}, first given as {label_of[pid]!r}")
+            if lang in by_pair[pid]:
+                raise GridError(f"pair {pid!r}, language {lang!r}: given twice")
             pair = by_pair[pid][lang] = (r["sentence1"], r["sentence2"])
             if not all(isinstance(t, str) and t.strip() for t in pair):
                 raise GridError(f"pair {pid!r}, language {lang!r}: sentences {list(pair)!r} "

@@ -35,7 +35,7 @@ from .data import TripletSample
 from .encoder import (DualEncoder, PrefixTable, Vocab, _run_chunks, encode_batch,
                       encode_groups, encode_prefix, frozen_stages, pad_batch, wrap_params)
 from .freeze import parse_freeze_spec, trainable_names
-from .optim import (FIXED, LossSpec, Optimizer, OptimizerSpec, SchedulerSpec,
+from .optim import (FIXED, LossSpec, OptimError, Optimizer, OptimizerSpec, SchedulerSpec,
                     scheduler_value, triplet_margin_loss)
 
 
@@ -182,10 +182,8 @@ def tune(model: DualEncoder, train: Sequence[TripletSample],
     spec = parse_freeze_spec(cfg.freeze)
     towers = {"query": work.query_params, "text": work.text_params}
     trained = list(towers) if cfg.mode == "both-tuned" else ["query"]
-    # side -> trainable names in tree order; the optimizer steps "side.name"
-    # keys. Optimizer steps update the arrays in place, so `params` stays valid.
+    # side -> trainable names in tree order; each tower's optimizer steps its own tree
     trainable = {side: trainable_names(spec, towers[side].keys()) for side in trained}
-    params = {f"{side}.{n}": towers[side][n] for side, names in trainable.items() for n in names}
 
     train_tok = _tokenize_triplets(train, vocab, model.config.max_positions)
     valid_tok = _tokenize_triplets(valid, vocab, model.config.max_positions)
@@ -235,9 +233,12 @@ def tune(model: DualEncoder, train: Sequence[TripletSample],
 
             def update(side):
                 tapes[side].backward(outs[side], seeds[side])
-                optimizers[side].step(params, {f"{side}.{name}": leaves[side][name].grad
-                                               for name in trainable[side]
-                                               if leaves[side][name].grad is not None}, lr=lr)
+                grads = {name: leaves[side][name].grad for name in trainable[side]
+                         if leaves[side][name].grad is not None}
+                try:
+                    optimizers[side].step(towers[side], grads, lr=lr)
+                except OptimError as e:     # name the tower: both trees share their names
+                    raise OptimError(f"{side} tower: {e}") from None
 
             _run_chunks([lambda s=side: update(s) for side in trained])
             step += 1

@@ -853,10 +853,22 @@ def refused(case, workspace, tmp_path):
         if flag == "--negatives":
             return [*negatives, str(bad)], out
         return ["mine-arxiv", "--input", str(bad), "--out", str(out)], out
-    if case.startswith("pair sentence"):
-        cmd, value = case.split()[2:]
+    if case.startswith("arxiv repeated id"):
+        bad = tmp_path / "arxiv_ids.jsonl"
+        bad.write_text("".join(json.dumps({"id": i, "abstract": "a. b.", "categories": ["c"]})
+                               + "\n" for i in ("a1", "a2", "a1")))
+        return ["mine-arxiv", "--input", str(bad), "--out", str(out)], out
+    if case == "sweep --eval name twice":
+        return [*sweep_args, "--eval", f"h={p['evals']}", "--eval", f"h={p['evals']}"], out
+    if case.startswith("pair "):
+        field, cmd, value = case.split()[1:]
         records = [json.loads(line) for line in Path(p["pairs"]).read_text().splitlines()]
-        records[1]["sentence2"] = {"blank": "  ", "number": 7}[value]
+        if field == "sentence":
+            records[1]["sentence2"] = {"blank": "  ", "number": 7}[value]
+        elif field == "label":
+            records[1]["label"] = value
+        else:                   # records[1], the pair's second language, given twice
+            records.append(records[1])
         bad = tmp_path / "pair_field.jsonl"
         bad.write_text("".join(json.dumps(r) + "\n" for r in records))
         argv = {"grid-eval": ["grid-eval", *model, "--vocab", p["vocab"], "--out", str(out)],
@@ -946,6 +958,18 @@ def refused(case, workspace, tmp_path):
                                         "pair 'p00000', language 'lang1'", ", 7]"]),
     ("pair sentence sweep blank", ["argument --pairs", "pair_field.jsonl",
                                    "pair 'p00000', language 'lang1'", "non-blank strings"]),
+    ("pair label grid-eval neutral", ["argument --pairs", "pair_field.jsonl",
+                                      "pair 'p00000': label 'neutral', first given as "
+                                      "'entailment'"]),
+    ("pair label sweep contradiction", ["argument --pairs", "pair_field.jsonl",
+                                        "pair 'p00000': label 'contradiction'"]),
+    ("pair record grid-eval twice", ["argument --pairs", "pair_field.jsonl",
+                                     "pair 'p00000', language 'lang1': given twice"]),
+    ("pair record sweep twice", ["argument --pairs", "pair_field.jsonl",
+                                 "pair 'p00000', language 'lang1': given twice"]),
+    ("arxiv repeated id --input", ["argument --input", "arxiv_ids.jsonl",
+                                   "record a1: id repeated"]),
+    ("sweep --eval name twice", ["argument --eval: name 'h' given twice"]),
     ("non-finite eval --model", ["argument --model", "nan.ckpt, line 20",
                                  "query.encoder.layer.0.output.dense.bias holds a NaN or inf"]),
     ("non-finite grid-eval --model", ["argument --model", "nan.ckpt, line 20",

@@ -8,15 +8,17 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from duotune.data import (ArxivRecord, DataError, NegativesEntry,
+from duotune import data
+from duotune.data import (ArxivRecord, DataError, MiningStats, NegativesEntry,
                           SynthCorpusSpec, TripletSample, expand_eval,
                           gen_synth_corpus, js_distance,
                           make_arxiv_triplets, mine_arxiv_negatives,
                           read_triplets, split_msmarco, split_sentences,
                           token_histogram, write_triplets, MSMARCO_TOTAL)
+from duotune.tensor import Rng
 
 
 def sample(i=0, n_pos=1, n_neg=1):
@@ -202,6 +204,87 @@ def test_negatives_entry_jsonl_roundtrip():
     line = entries[0].to_json()
     again = NegativesEntry.from_json(line)
     assert again.to_json() == line
+
+
+def scan_mine(records, max_category_size=10000, seed=0):
+    """The all-pairs scan the prefix index replaced, kept as its reference: each
+    record's candidates are the others with its longest shared sorted-category prefix."""
+    census = Counter(c for r in records for c in r.categories)
+    small = {c for c, n in census.items() if n <= max_category_size}
+    kept = [r for r in records if any(c in small for c in r.categories)]
+    if len(kept) < 2:
+        raise DataError("need at least 2 records after category filtering")
+
+    def prefix_len(a, b):
+        n = 0
+        for x, y in zip(a, b):
+            if x != y:
+                break
+            n += 1
+        return n
+
+    sorted_cats = {r.id: sorted(r.categories, key=lambda c: (census[c], c)) for r in kept}
+    hists = {r.id: token_histogram(r.abstract) for r in kept}
+    all_ids = [r.id for r in kept]
+    stats = MiningStats(kept_records=len(kept))
+    entries = []
+    for idx, r in enumerate(kept):
+        best, cands = 0, []
+        for other in kept:
+            if other.id == r.id:
+                continue
+            L = prefix_len(sorted_cats[r.id], sorted_cats[other.id])
+            if L > best:
+                best, cands = L, [other.id]
+            elif L == best and L > 0:
+                cands.append(other.id)
+        rng = Rng(seed).spawn(2, idx)
+        if best == 0:
+            stats.empty_candidate_sets += 1
+            top20 = [data._random_other_id(all_ids, r.id, rng)] * 20
+        else:
+            top20 = sorted(cands, key=lambda c: (js_distance(hists[r.id], hists[c]), c))[:20]
+            top20 += top20[-1:] * (20 - len(top20))
+        extra = data._random_other_id(all_ids, r.id, rng)
+        stats.all_distinct_top20 += len(set(top20)) == 20
+        entries.append(NegativesEntry(r, top20 + [extra]))
+    return entries, stats
+
+
+# a record: (category indices, abstract word indices); a category may repeat in one record
+record_specs = st.lists(st.tuples(st.lists(st.integers(0, 5), min_size=1, max_size=5),
+                                  st.lists(st.integers(0, 7), min_size=1, max_size=6)),
+                        min_size=1, max_size=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(record_specs, st.integers(1, 6), st.integers(0, 3))
+@example([([0, 1, 2], [0]), ([0, 1, 2], [1]), ([0, 1], [2]), ([0, 1], [3]), ([3], [4]),
+          ([3], [5])], 6, 0)                                  # shared prefixes of 3, 2 and 1
+@example([([0], [0]), ([1], [1]), ([2], [2])], 6, 1)          # no shared first category
+@example([([0, 0], [0]), ([0, 0, 0], [1]), ([0], [2])], 6, 2)  # one category repeated
+@example([([0], [0]), ([0], [1]), ([0], [2]), ([1], [3]), ([0, 1], [4]), ([1], [5])],
+         3, 3)                                                # c0 is over the size limit
+def test_indexed_miner_matches_the_all_pairs_scan(specs, max_category_size, seed):
+    records = [ArxivRecord(f"r{i}", "", " ".join(f"w{w}" for w in words),
+                           [f"c{c}" for c in cats])
+               for i, (cats, words) in enumerate(specs)]
+    try:
+        want = scan_mine(records, max_category_size, seed)
+    except DataError as e:
+        with pytest.raises(DataError, match=str(e)):
+            mine_arxiv_negatives(records, max_category_size, seed)
+        return
+    got = mine_arxiv_negatives(records, max_category_size, seed)
+    assert [e.to_json() for e in got[0]] == [e.to_json() for e in want[0]]
+    assert got[1] == want[1]
+
+
+def test_the_miner_refuses_a_repeated_record_id():
+    records = [rec(0, ["a.x"], "first text"), rec(1, ["a.x"], "second text"),
+               rec(0, ["b.y"], "third text")]
+    with pytest.raises(DataError, match="record id000: id repeated"):
+        mine_arxiv_negatives(records)
 
 
 # --- triplets from mined negatives ----------------------------------------------------

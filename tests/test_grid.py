@@ -54,6 +54,22 @@ def test_pair_corpus_requires_full_translation_coverage():
         PairCorpus.from_records(records)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda rs: rs[3].update(label="contradiction"),
+     "pair 'n': label 'contradiction', first given as 'neutral'"),
+    (lambda rs: rs.append(dict(rs[0], sentence2="c")), "pair 'e', language 'l0': given twice"),
+], ids=["relabelled", "repeated"])
+def test_pair_corpus_refuses_a_relabelled_or_repeated_pair_record(edit, message):
+    records = [{"pair_id": lbl[:1], "label": lbl, "language": lang,
+                "sentence1": "a", "sentence2": "b"}
+               for lbl in ("entailment", "neutral", "contradiction") for lang in ("l0", "l1")]
+    assert len(PairCorpus.from_records(records)) == 1
+    edit(records)
+    with pytest.raises(GridError) as err:
+        PairCorpus.from_records(records)
+    assert str(err.value) == message
+
+
 def test_pair_corpus_loads_what_gen_synth_wrote(tmp_path):
     out = tmp_path / "corpus"
     assert main(["gen-synth", "--out", str(out), "--languages", "3", "--vocab-size", "36",

@@ -11,6 +11,7 @@ from duotune import encoder, tuning
 from duotune import tensor as T
 from duotune.data import TripletSample
 from duotune.encoder import DualEncoder, EncoderConfig, Vocab, trees_equal
+from duotune.lab import evaluate_triplets
 from duotune.optim import LossSpec, OptimError, Optimizer, OptimizerSpec, SchedulerSpec
 from duotune.tuning import (RunRecord, TuneConfig, TuningError, tune, validate,
                             validate_samples, _tokenize_triplets)
@@ -197,6 +198,24 @@ def test_same_seed_gives_bit_identical_runs():
     assert runs[0][1] == runs[1][1]
 
 
+def test_a_literal_pad_word_tunes_and_evaluates_like_an_unknown_word():
+    assert VOCAB.encode("<pad> w001") == VOCAB.encode("<unk> w001") == [encoder.UNK_ID, 3]
+
+    def holding(word, samples):
+        return [TripletSample(f"{word} {s.query}", [f"{s.positives[0]} {word}"], s.negatives)
+                for s in samples]
+
+    runs = []
+    for word in ("<pad>", "<unk>"):
+        train, valid = holding(word, topic_triplets(20)), holding(word, topic_triplets(8, 1))
+        model = DualEncoder.twin_init(CFG, T.Rng(0))
+        best, record = tune(model, train, valid, small_config(max_epochs=2), VOCAB)
+        runs.append((best, record, evaluate_triplets(best, valid, VOCAB)))
+    (a, ra, ea), (b, rb, eb) = runs
+    assert trees_equal(a.query_params, b.query_params) and ra == rb
+    assert ea == eb
+
+
 def test_acceptance_requires_both_loss_and_errors_to_drop():
     model = DualEncoder.twin_init(CFG, T.Rng(0))
     train = topic_triplets(20)
@@ -360,20 +379,26 @@ def test_both_tuned_steps_keep_their_bits_under_frequent_thread_switches(monkeyp
 @pytest.mark.parametrize("poisoned", [("query",), ("text",), ("query", "text")])
 def test_a_non_finite_gradient_in_either_tower_raises_the_serial_message(monkeypatch,
                                                                         poisoned):
-    real = Optimizer.step
+    made = []
 
-    def step(self, params, grads, lr=None):
-        real(self, params, {k: g * np.nan if k.split(".")[0] in poisoned else g
-                            for k, g in grads.items()}, lr)
+    class Poisoning(Optimizer):
+        def __init__(self, spec):
+            super().__init__(spec)
+            self.side = ("query", "text")[len(made) % 2]    # tune makes the query's first
+            made.append(self)
 
-    monkeypatch.setattr(Optimizer, "step", step)
+        def step(self, params, grads, lr=None):
+            super().step(params, {k: g * np.nan if self.side in poisoned else g
+                                  for k, g in grads.items()}, lr)
+
+    monkeypatch.setattr(tuning, "Optimizer", Poisoning)
     model, run = _both_tuned(freeze="-")
     first = next(iter(model.query_params))
     for workers in (1, 2):
         monkeypatch.setattr(encoder, "_workers", lambda: workers)
         with pytest.raises(OptimError) as err:
             run()
-        assert str(err.value) == f"non-finite gradient for {poisoned[0]}.{first}"
+        assert str(err.value) == f"{poisoned[0]} tower: non-finite gradient for {first}"
 
 
 def test_a_query_only_step_starts_no_thread(monkeypatch):
