@@ -67,9 +67,11 @@ def _apply_config(path, flags) -> None:
 
 
 def _at_least(kind, low, high=float("inf")):
-    """An argparse type: `kind(text)`, which must lie in low..high (NaN does not)."""
+    """An argparse type: `kind(text)`, finite and in low..high (NaN is not)."""
     def arg(text: str):
         v = kind(text)
+        if v == float("inf"):
+            raise argparse.ArgumentTypeError(f"{v} is not finite")
         if not low <= v <= high:
             raise argparse.ArgumentTypeError(f"{v} is not <= {high}" if v > high
                                              else f"{v} is not >= {low}")
@@ -203,7 +205,8 @@ def cmd_mine_arxiv(args) -> int:
 def cmd_make_triplets(args) -> int:
     entries = _read("--negatives", args.negatives,
                     lambda path: D.read_jsonl(path, D.NegativesEntry.from_json))
-    triplets = D.make_arxiv_triplets(entries, args.flavor, args.difficulty)
+    triplets = _checked(f"--negatives: {args.negatives}", D.make_arxiv_triplets,
+                        entries, args.flavor, args.difficulty)
     if not triplets:
         raise argparse.ArgumentError(None, f"--negatives {args.negatives} gives no triplets "
                                      f"at --flavor {args.flavor} --difficulty {args.difficulty}")
@@ -216,13 +219,14 @@ def _tune_config_from_args(args) -> TuneConfig:
     lr = args.lr
     if args.scaling_rule != "none":
         lr = scale_lr(args.base_batch, lr, args.batch_size, args.scaling_rule)
+    optimizer = _checked(f"--lr {args.lr} with --scaling-rule {args.scaling_rule}",
+                         OptimizerSpec, kind=args.optimizer, lr=lr,
+                         weight_decay=args.weight_decay, momentum=not args.no_momentum)
     try:
         return TuneConfig(
             batch_size=args.batch_size, epoch_policy=args.epoch_policy,
             epoch_size=args.epoch_size, idle_epochs_to_stop=args.idle_epochs,
-            max_epochs=args.max_epochs, freeze=args.freeze,
-            optimizer=OptimizerSpec(kind=args.optimizer, lr=lr, weight_decay=args.weight_decay,
-                                    momentum=not args.no_momentum),
+            max_epochs=args.max_epochs, freeze=args.freeze, optimizer=optimizer,
             scheduler=_scheduler(args, args.scheduler), loss=LossSpec(margin=args.margin),
             seed=args.seed, mode=args.mode).check_schedule()
     except OptimError as e:     # the flag types leave only the schedule's length
@@ -371,10 +375,8 @@ def cmd_diagnose(args) -> int:
                       before.query_params, after.query_params)
     csv = lab.csv_text(
         ["name", "w_before", "w_after", "changed", "max_abs_after", "relative_shift"],
-        ([l.name, f"{l.w_before:.12g}", f"{l.w_after:.12g}", int(l.changed),
-          f"{l.w_after:.12g}" if l.changed else "",
-          "" if l.relative_shift is None else f"{l.relative_shift:.12g}"]
-         for l in report.layers))
+        ([l.name, l.w_before, l.w_after, int(l.changed), l.w_after if l.changed else None,
+          l.relative_shift] for l in report.layers))
     if args.out:
         _write(Path(args.out), csv)
     print("top by max |weight| after tuning (changed layers):")

@@ -198,15 +198,22 @@ class MiningStats:
     all_distinct_top20: int = 0
 
 
+def _by_id(records: Iterable[ArxivRecord]) -> Dict[str, ArxivRecord]:
+    """Each record by its id; an id given twice is a DataError."""
+    by_id: Dict[str, ArxivRecord] = {}
+    for r in records:
+        if by_id.setdefault(r.id, r) is not r:
+            raise DataError(f"record {r.id}: id repeated")
+    return by_id
+
+
 def mine_arxiv_negatives(records: Sequence[ArxivRecord], max_category_size: int = 10000,
                          seed: int = 0) -> Tuple[List[NegativesEntry], MiningStats]:
     """Per record: 20 nearest prefix-matching papers by JS distance over
     abstract token histograms (padded by the last if fewer), plus one random
     distinct 21st. Deterministic in `seed`, including the random slot.
     """
-    repeated = next((i for i, n in Counter(r.id for r in records).items() if n > 1), None)
-    if repeated is not None:
-        raise DataError(f"record {repeated}: id repeated")
+    _by_id(records)
     census = Counter(c for r in records for c in r.categories)
     small = {c for c, n in census.items() if n <= max_category_size}
     kept = [r for r in records if any(c in small for c in r.categories)]
@@ -281,7 +288,7 @@ def make_arxiv_triplets(entries: Sequence[NegativesEntry], flavor: str,
         raise DataError(f"unknown flavor {flavor!r}")
     if not (1 <= difficulty <= 21):
         raise DataError("difficulty must lie in 1..21")
-    by_id = {e.record.id: e.record for e in entries}
+    by_id = _by_id(e.record for e in entries)
     out: List[TripletSample] = []
     for e in entries:
         neg_rec = by_id.get(e.neighbor_ids[difficulty - 1])
@@ -330,7 +337,6 @@ class SynthCorpusSpec:
 
 @dataclass
 class SynthCorpus:
-    spec: SynthCorpusSpec
     vocab_tokens: List[str]
     language_maps: List[np.ndarray]          # index permutations; map[0] = identity
     pretrain: List[TripletSample]            # all languages mixed
@@ -422,5 +428,5 @@ def gen_synth_corpus(spec: SynthCorpusSpec) -> SynthCorpus:
                 })
             pid += 1
 
-    return SynthCorpus(spec, vocab_tokens, maps, pretrain, tune_lang0,
+    return SynthCorpus(vocab_tokens, maps, pretrain, tune_lang0,
                        heldout, pair_records)

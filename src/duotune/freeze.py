@@ -37,11 +37,6 @@ class FreezeToken:
     patterns: Tuple[str, ...]       # regexes matched at the start of a name
 
 
-@dataclass(frozen=True)
-class FreezeSpec:
-    tokens: Tuple[FreezeToken, ...]
-
-
 _NAMED = {
     "-": (),
     "emb.base": (r"embeddings\.\w+_embeddings\.",),
@@ -80,7 +75,7 @@ def _token(piece: str) -> FreezeToken:
     return FreezeToken(f"B{i}-{j}", tuple(_block(k) for k in range(i, j + 1)))
 
 
-def parse_freeze_spec(text: str) -> FreezeSpec:
+def parse_freeze_spec(text: str) -> Tuple[FreezeToken, ...]:
     tokens: List[FreezeToken] = []
     block, parts = -1, []           # block and parts of a trailing B{i}a[,i[,od]]
     for piece in (p.strip() for p in text.split(",")):
@@ -103,16 +98,16 @@ def parse_freeze_spec(text: str) -> FreezeSpec:
         tokens.append(_token(piece))
     if len(tokens) > 1 and any(t.text == "-" for t in tokens):
         raise FreezeSpecError("'-' cannot be combined with other tokens")
-    return FreezeSpec(tuple(tokens))
+    return tuple(tokens)
 
 
-def resolve(spec: FreezeSpec, param_names: Iterable[str]) -> Set[str]:
-    """The frozen name set: every name that one of the spec's patterns
+def resolve(spec: Sequence[FreezeToken], param_names: Iterable[str]) -> Set[str]:
+    """The frozen name set: every name that one of the tokens' patterns
     matches. A pattern that matches no name raises FreezeSpecError, naming
     the block the model lacks when the pattern is one of a block's."""
     names = list(param_names)
     frozen: Set[str] = set()
-    for tok in spec.tokens:
+    for tok in spec:
         for pattern in tok.patterns:
             matched = [n for n in names if re.match(pattern, n)]
             if not matched:
@@ -123,7 +118,7 @@ def resolve(spec: FreezeSpec, param_names: Iterable[str]) -> Set[str]:
     return frozen
 
 
-def trainable_names(spec: FreezeSpec, param_names: Iterable[str]) -> List[str]:
+def trainable_names(spec: Sequence[FreezeToken], param_names: Iterable[str]) -> List[str]:
     names = list(param_names)
     frozen = resolve(spec, names)
     return [n for n in names if n not in frozen]

@@ -1,8 +1,8 @@
 """Experiment orchestration: layer-change diagnostics, sweeps over a single
 tuning axis, run manifests, and CSV/plot-data emission.
 
-Plots are emitted as data files (x = swept value, y = improvement,
-marker = significance); rendering is left to external tools.
+Plots are emitted as data files (x = swept value, y = improvement, empty at a
+zero base PND, marker = significance); rendering is left to external tools.
 """
 
 from __future__ import annotations
@@ -136,12 +136,11 @@ def apply_axis_value(cfg: TuneConfig, axis: str, value) -> TuneConfig:
 
 @dataclass
 class SweepRow:
-    value: str
     dataset: str
     measure: str
     pnd_before: float
     pnd_after: float
-    improvement_pct: float
+    improvement_pct: Optional[float]     # None: the base PND is 0
     errors_before: int
     errors_after: int
     total: int
@@ -159,7 +158,6 @@ class SweepPointResult:
 
 @dataclass
 class SweepReport:
-    spec_axis: str
     points: List[SweepPointResult]
 
 
@@ -192,17 +190,17 @@ def run_sweep(model: DualEncoder, train: Sequence[TripletSample],
             for m in spec.measures:
                 before_rep = base_reports[name][m]
                 after_rep = after[name][m]
-                imp = (improvement(before_rep.pnd, after_rep.pnd, -1)
-                       if before_rep.pnd != 0 else 0.0)
+                imp = (100.0 * improvement(before_rep.pnd, after_rep.pnd, -1)
+                       if before_rep.pnd != 0 else None)
                 zt = z_test(before_rep.errors, after_rep.errors, before_rep.total,
                             spec.ztest_variant)
-                rows.append(SweepRow(str(value), name, m, before_rep.pnd, after_rep.pnd,
-                                     100.0 * imp, before_rep.errors, after_rep.errors,
+                rows.append(SweepRow(name, m, before_rep.pnd, after_rep.pnd,
+                                     imp, before_rep.errors, after_rep.errors,
                                      before_rep.total, zt.z, zt.significant))
         grid_cmp = None if grids is None else {
             m: grid_compare(base_grids[m], grids[m], spec.ztest_variant) for m in spec.measures}
         points.append(SweepPointResult(str(value), rows, grid_cmp, record))
-    return SweepReport(spec.axis, points)
+    return SweepReport(points)
 
 
 # --- emission -----------------------------------------------------------------
@@ -212,27 +210,27 @@ SWEEP_CSV_HEADER = ("value,dataset,measure,pnd_before,pnd_after,improvement_pct,
 
 
 def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """CSV text with newline line ends; a field holding a comma (a freeze spec,
-    a language name from a pairs file) is quoted."""
+    """CSV text with newline line ends; a float field has 12 significant digits,
+    a None one (a value left undefined) is empty, and a field holding a comma (a
+    freeze spec, a language name from a pairs file) is quoted."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerows([f"{v:.12g}" if isinstance(v, float) else v for v in row] for row in rows)
     return buf.getvalue()
 
 
 def sweep_csv(report: SweepReport) -> str:
     return csv_text(SWEEP_CSV_HEADER.split(","), (
-        [r.value, r.dataset, r.measure, f"{r.pnd_before:.12g}", f"{r.pnd_after:.12g}",
-         f"{r.improvement_pct:.12g}", r.errors_before, r.errors_after, r.total,
-         "" if r.z is None else f"{r.z:.12g}", int(r.significant)]
+        [pt.value, r.dataset, r.measure, r.pnd_before, r.pnd_after, r.improvement_pct,
+         r.errors_before, r.errors_after, r.total, r.z, int(r.significant)]
         for pt in report.points for r in pt.rows))
 
 
 def plot_data(report: SweepReport) -> str:
-    """x = swept value, y = improvement %, marker = 1 if significant."""
+    """x = swept value, y = improvement % (empty where undefined), marker = 1 if significant."""
     return csv_text(["value", "dataset", "measure", "improvement_pct", "significant"], (
-        [r.value, r.dataset, r.measure, f"{r.improvement_pct:.12g}", int(r.significant)]
+        [pt.value, r.dataset, r.measure, r.improvement_pct, int(r.significant)]
         for pt in report.points for r in pt.rows))
 
 

@@ -41,7 +41,6 @@ class QueryJudgments:
 @dataclass
 class EvalReport:
     measure: str
-    n_queries: int
     errors: int                     # total (positive, negative) error pairs
     total: int                      # total (positive, negative) pairs
     pnd: float                      # per-query PND averaged over queries
@@ -101,7 +100,7 @@ def full_reports(judgments: Sequence[QueryJudgments],
             rr[idx], p1[idx] = 1.0 / ranks[:, 0], hits[:, 0]
             ap[idx] = np.mean(np.arange(1, p + 1) / ranks, axis=-1)
     pairs = n_pos * (n_cand - n_pos)
-    return {m: EvalReport(m, len(judgments), int(errors.sum()), int(pairs.sum()),
+    return {m: EvalReport(m, int(errors.sum()), int(pairs.sum()),
                           float(np.mean(errors / pairs)), float(np.mean(rr)),
                           float(np.mean(ap)), float(np.mean(p1)))
             for m, (errors, rr, ap, p1) in rows.items()}

@@ -20,8 +20,8 @@ class LossSpec:
     margin: float = 0.1
 
     def __post_init__(self):
-        if self.margin < 0:
-            raise OptimError("margin must be >= 0")
+        if not 0 <= self.margin < math.inf:     # NaN fails too
+            raise OptimError(f"margin must be finite and >= 0, not {self.margin!r}")
 
 
 def triplet_margin_loss(anchor: T.Tensor, positive: T.Tensor, negative: T.Tensor,
@@ -54,11 +54,10 @@ class OptimizerSpec:
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        # lr == 0 is allowed: a no-op run is a useful control
-        if self.lr < 0:
-            raise OptimError("lr must be >= 0")
-        if self.weight_decay < 0:
-            raise OptimError("weight_decay must be >= 0")
+        # lr == 0 is allowed: a no-op run is a useful control; NaN fails
+        for name in ("lr", "weight_decay"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise OptimError(f"{name} must be finite and >= 0, not {getattr(self, name)!r}")
         if self.kind not in ("adamw", "adamax", "adadelta", "sgd"):
             raise OptimError(f"unknown optimizer kind {self.kind!r}")
 

@@ -5,7 +5,7 @@ An epoch is accepted only if both the validation loss and the validation
 error count strictly decrease relative to the best accepted state so far.
 The run stops after `idle_epochs_to_stop` consecutive non-improvements and
 returns the checkpoint of the last accepted epoch (or the initial model if
-none was accepted).
+none was accepted), its `mode` set to the run's.
 
 Each tower's frozen prefix (its leading stages without a trainable
 parameter; see `frozen_stages`) is computed once per `tune` call for each
@@ -178,7 +178,7 @@ def tune(model: DualEncoder, train: Sequence[TripletSample],
     if not train:
         raise TuningError("training set is empty")
 
-    work = model.copy()
+    work = replace(model, mode=cfg.mode).copy()
     spec = parse_freeze_spec(cfg.freeze)
     towers = {"query": work.query_params, "text": work.text_params}
     trained = list(towers) if cfg.mode == "both-tuned" else ["query"]

@@ -107,6 +107,15 @@ def test_tune_writes_checkpoint_run_record_and_manifest(workspace, tmp_path):
     assert manifest["config"]["tune"]["scheduler"]["kind"] == "none"
 
 
+def test_a_checkpoint_says_how_it_was_tuned(workspace, tmp_path):
+    p = corpus_paths(workspace)
+    assert load_dual(p["model"]).mode == "query-only"      # as init-model writes it
+    assert run_tune(p, tmp_path / "both", "--mode", "both-tuned") == 0
+    assert load_dual(tmp_path / "both" / "model.ckpt").mode == "both-tuned"
+    assert run_tune({**p, "model": tmp_path / "both" / "model.ckpt"}, tmp_path / "query") == 0
+    assert load_dual(tmp_path / "query" / "model.ckpt").mode == "query-only"
+
+
 def test_replay_reproduces_outputs_byte_for_byte(workspace, tmp_path):
     p = corpus_paths(workspace)
     first = tmp_path / "first"
@@ -769,9 +778,17 @@ def refused(case, workspace, tmp_path):
          "manifest unknown tune key": lambda: tune.update(epochs=3),
          "manifest changed input": lambda: digests.update(train="0" * 64),
          "manifest optimizer constant": lambda: tune["optimizer"].update(beta1=0.8),
-         "manifest freeze B5": lambda: tune.update(freeze="B5")}[case]()
+         "manifest freeze B5": lambda: tune.update(freeze="B5"),
+         "manifest lr nan": lambda: tune["optimizer"].update(lr=np.nan),
+         "manifest weight_decay inf": lambda: tune["optimizer"].update(weight_decay=np.inf),
+         "manifest margin inf": lambda: tune["loss"].update(margin=np.inf)}[case]()
         manifest.write_text(json.dumps(doc))
         return replay, out
+    if case.startswith("tune --"):     # tune {flag} {value} [scaled]
+        flag, value, *scaled = case.split()[1:]
+        return ["tune", *model, "--vocab", p["vocab"], *tune_args, flag, value,
+                *(["--scaling-rule", "linear", "--base-batch", "1"] if scaled else []),
+                "--out", str(out)], out
     if case.startswith("freeze"):
         _, where, spec = case.split(" ", 2)
         tune = ["tune", *model, "--vocab", p["vocab"], *tune_args, "--out", str(out)]
@@ -855,8 +872,12 @@ def refused(case, workspace, tmp_path):
         return ["mine-arxiv", "--input", str(bad), "--out", str(out)], out
     if case.startswith("arxiv repeated id"):
         bad = tmp_path / "arxiv_ids.jsonl"
-        bad.write_text("".join(json.dumps({"id": i, "abstract": "a. b.", "categories": ["c"]})
-                               + "\n" for i in ("a1", "a2", "a1")))
+        records = [{"id": i, "abstract": "a. b.", "categories": ["c"]} for i in ("a1", "a2", "a1")]
+        if case.endswith("--negatives"):
+            bad.write_text("".join(json.dumps({"record": r, "neighbors": ["a2"] * 21}) + "\n"
+                                   for r in records))
+            return [*negatives, str(bad)], out
+        bad.write_text("".join(json.dumps(r) + "\n" for r in records))
         return ["mine-arxiv", "--input", str(bad), "--out", str(out)], out
     if case == "sweep --eval name twice":
         return [*sweep_args, "--eval", f"h={p['evals']}", "--eval", f"h={p['evals']}"], out
@@ -969,6 +990,18 @@ def refused(case, workspace, tmp_path):
                                  "pair 'p00000', language 'lang1': given twice"]),
     ("arxiv repeated id --input", ["argument --input", "arxiv_ids.jsonl",
                                    "record a1: id repeated"]),
+    ("arxiv repeated id --negatives", ["argument --negatives", "arxiv_ids.jsonl",
+                                       "record a1: id repeated"]),
+    ("tune --lr inf", ["argument --lr: inf is not finite"]),
+    ("tune --margin inf", ["argument --margin: inf is not finite"]),
+    ("tune --weight-decay inf", ["argument --weight-decay: inf is not finite"]),
+    ("tune --lr 1e308 scaled", ["argument --lr 1e+308 with --scaling-rule linear",
+                                "OptimError: lr must be finite and >= 0, not inf"]),
+    ("manifest lr nan", ["argument --manifest", "OptimError: lr must be finite and >= 0, "
+                         "not nan"]),
+    ("manifest weight_decay inf", ["argument --manifest", "weight_decay must be finite and "
+                                   ">= 0, not inf"]),
+    ("manifest margin inf", ["argument --manifest", "margin must be finite and >= 0, not inf"]),
     ("sweep --eval name twice", ["argument --eval: name 'h' given twice"]),
     ("non-finite eval --model", ["argument --model", "nan.ckpt, line 20",
                                  "query.encoder.layer.0.output.dense.bias holds a NaN or inf"]),

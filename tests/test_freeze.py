@@ -11,9 +11,9 @@ def names_for(n_blocks: int):
     return list(param_shapes(EncoderConfig(n_blocks=n_blocks)))
 
 
-def joined(spec) -> str:
-    """The spec's tokens in canonical form, as one spec string."""
-    return ", ".join(t.text for t in spec.tokens)
+def joined(tokens) -> str:
+    """The tokens in canonical form, as one spec string."""
+    return ", ".join(t.text for t in tokens)
 
 
 @pytest.mark.parametrize("text", [

@@ -349,6 +349,19 @@ def test_sweep_csv_layout():
     assert len(plot) == 3
 
 
+def test_a_zero_baseline_leaves_the_improvement_empty():
+    # twin towers put a positive that repeats its query closer than any negative
+    model, train, valid, spec = sweep_fixture([1e-2])
+    echo = [TripletSample(s.query, [s.query], s.negatives) for s in topic_triplets(10, seed=3)]
+    report = run_sweep(model, train, valid, VOCAB,
+                       dataclasses.replace(spec, eval_sets={"echo": echo}))
+    rows = report.points[0].rows
+    assert [(r.pnd_before, r.improvement_pct) for r in rows] == [(0.0, None)] * 2
+    for text in (sweep_csv(report), plot_data(report)):
+        header, *lines = csv.reader(io.StringIO(text))
+        assert [line[header.index("improvement_pct")] for line in lines] == ["", ""]
+
+
 def test_grid_matrix_csv_has_a_cell_per_language_pair():
     from duotune.grid import grid_eval
     from tests.test_grid import CFG as GRID_CFG, synth_corpus_and_vocab

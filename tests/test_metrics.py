@@ -216,7 +216,7 @@ def per_query_reports(judgments, measures):
     reports = {}
     for m, per_query in rows.items():
         errors, pairs, rr, ap, p1 = zip(*per_query)
-        reports[m] = EvalReport(m, len(judgments), sum(errors), sum(pairs),
+        reports[m] = EvalReport(m, sum(errors), sum(pairs),
                                 float(np.mean([e / n for e, n in zip(errors, pairs)])),
                                 float(np.mean(rr)), float(np.mean(ap)), float(np.mean(p1)))
     return reports

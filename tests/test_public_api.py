@@ -1,9 +1,10 @@
 """A guard against dead public API: every public module-level function and
 class of `duotune` has a caller in the package or the benchmark, or an entry
 below saying why it stays; every public method and property of a `duotune`
-class has one too."""
+class has one too, and every field of a public dataclass has a reader."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -29,6 +30,20 @@ NO_CALLER = {
     "data.expand_eval": "acceptance import",
     "tuning.validate_samples": "acceptance import",
     "metrics.rank_metrics": "wrapped by name in perfbench/tracer.py",
+}
+
+# Public dataclass fields that no package or benchmark code reads as an
+# attribute, each with the reason it stays.
+NO_READER = {
+    "tuning.EpochRecord.epoch": "written to run.json by asdict",
+    "metrics.ZTestResult.z_critical": "acceptance reads it",
+    "data.MiningStats.kept_records": "acceptance reads it",
+    "grid.GridComparison.not_significant": "acceptance reads it",
+    "metrics.ZTestResult.p0": "test-only diagnostic",
+    "metrics.ZTestResult.p1": "test-only diagnostic",
+    "metrics.ZTestResult.pooled": "test-only diagnostic",
+    "grid.GridComparison.verdicts": "test-only diagnostic",
+    "data.SynthCorpus.language_maps": "test-only diagnostic",
 }
 
 
@@ -69,17 +84,28 @@ def used_names(path: Path) -> set:
     return used
 
 
+def public_classes() -> list:
+    """(`module.Class`, class) for each public class."""
+    classes = []
+    for name in public_names():
+        mod, _, attr = name.partition(".")
+        obj = getattr(importlib.import_module(f"duotune.{mod}"), attr)
+        if inspect.isclass(obj):
+            classes.append((name, obj))
+    return classes
+
+
 def public_methods() -> set:
     """`module.Class.name` for each public method and property of a public class."""
-    names = set()
-    for name in public_names():
-        mod, _, cls = name.partition(".")
-        obj = getattr(importlib.import_module(f"duotune.{mod}"), cls)
-        if inspect.isclass(obj):
-            names.update(f"{name}.{a}" for a, v in vars(obj).items() if not a.startswith("_")
-                         and (inspect.isfunction(v)
-                              or isinstance(v, (property, classmethod, staticmethod))))
-    return names
+    return {f"{name}.{a}" for name, obj in public_classes() for a, v in vars(obj).items()
+            if not a.startswith("_") and (
+                inspect.isfunction(v) or isinstance(v, (property, classmethod, staticmethod)))}
+
+
+def public_fields() -> set:
+    """`module.Class.field` for each field of a public dataclass."""
+    return {f"{name}.{f.name}" for name, obj in public_classes() if dataclasses.is_dataclass(obj)
+            for f in dataclasses.fields(obj)}
 
 
 def attributes_read(path: Path) -> set:
@@ -104,3 +130,11 @@ def test_every_public_function_and_class_has_a_caller():
     assert set(NO_CALLER) <= public
     assert set(NO_CALLER) & used == set()    # an entry that gained a caller goes
     assert public - used - set(NO_CALLER) == set()
+
+
+def test_every_public_field_has_a_reader():
+    # by name only, as for methods
+    read = set().union(*map(attributes_read, FILES))
+    unread = {f for f in public_fields() if f.rpartition(".")[2] not in read}
+    assert set(NO_READER) - unread == set()     # an entry that is not an unread field goes
+    assert unread - set(NO_READER) == set()
